@@ -21,14 +21,16 @@ makes for learning the policy model-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.manycore.chip import EpochObservation
 from repro.manycore.config import SystemConfig
 from repro.manycore.hetero import HeterogeneousMap
+from repro.sim.interface import Controller
 
-__all__ = ["LevelPredictions", "PowerPerfEstimator"]
+__all__ = ["LevelPredictions", "PowerPerfEstimator", "ModelBasedController"]
 
 
 @dataclass(frozen=True)
@@ -105,32 +107,47 @@ class PowerPerfEstimator:
         self._leak_per_level = leak_nominal[None, :] * self.hetero.leak_scale[:, None]
 
     def predict(self, obs: EpochObservation) -> LevelPredictions:
-        """Predictions for all cores and levels from one epoch's telemetry."""
+        """Predictions for all cores and levels from one epoch's telemetry
+        (the one-row :meth:`predict_stack`)."""
+        power, ips = self.predict_stack(
+            obs.levels[None], obs.sensed_instructions[None], obs.sensed_power[None]
+        )
+        return LevelPredictions(power=power[0], ips=ips[0])
+
+    def predict_stack(
+        self,
+        levels: np.ndarray,
+        sensed_instructions: np.ndarray,
+        sensed_power: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(n_runs, n_cores, n_levels)`` power/ips predictions from
+        ``(n_runs, n_cores)`` ``levels``, ``sensed_instructions`` and
+        ``sensed_power`` (watts); elementwise, so row-stable."""
         cfg = self.cfg
-        levels = np.asarray(obs.levels, dtype=int)
-        cores = np.arange(cfg.n_cores)
+        levels = np.asarray(levels, dtype=int)
+        cores = np.arange(cfg.n_cores)[None, :]
         f_cur = self._freqs[cores, levels]
         v_cur = self._volts[levels]
 
         # Invert memory intensity from IPC via CPI(f) = CPI0 + mu * L * f.
         cycles = np.maximum(f_cur * cfg.epoch_time, 1.0)
-        ipc = np.clip(obs.sensed_instructions / cycles, 1e-6, None)
+        ipc = np.clip(sensed_instructions / cycles, 1e-6, None)
         mu = np.maximum(0.0, (1.0 / ipc - self._base_cpi)) / (
             cfg.mem_latency * f_cur + 1e-30
         )
 
         # Invert activity from measured power minus assumed leakage.
         leak_cur = self._leak_per_level[cores, levels]
-        p_dyn = np.maximum(0.0, obs.sensed_power - leak_cur)
+        p_dyn = np.maximum(0.0, sensed_power - leak_cur)
         act = p_dyn / (self._ceff * v_cur**2 * f_cur)
         act = np.clip(act, cfg.activity_range[0], cfg.activity_range[1])
 
         # Expand across all levels.
         f = self._freqs  # (n, L)
         v2 = self._volts[None, :] ** 2
-        power = act[:, None] * self._ceff[:, None] * v2 * f + self._leak_per_level
-        ips = f / (self._base_cpi[:, None] + mu[:, None] * cfg.mem_latency * f)
-        return LevelPredictions(power=power, ips=ips)
+        power = act[..., None] * self._ceff[:, None] * v2 * f + self._leak_per_level
+        ips = f / (self._base_cpi[:, None] + mu[..., None] * cfg.mem_latency * f)
+        return power, ips
 
     def cold_predictions(self, n_cores: int) -> LevelPredictions:
         """Predictions with no telemetry (first epoch): assume worst-case
@@ -147,3 +164,16 @@ class PowerPerfEstimator:
         power = act * self._ceff[:, None] * v2 * f + self._leak_per_level
         ips = f / self._base_cpi[:, None]
         return LevelPredictions(power=power, ips=ips)
+
+
+class ModelBasedController(Controller):
+    """A baseline deciding on estimator predictions (cold before telemetry)."""
+
+    def __init__(self, cfg: SystemConfig, hetero: HeterogeneousMap | None = None) -> None:
+        super().__init__(cfg)
+        self._estimator = PowerPerfEstimator(cfg, hetero=hetero)
+
+    def predictions(self, obs: Optional[EpochObservation]) -> LevelPredictions:
+        if obs is None:
+            return self._estimator.cold_predictions(self.n_cores)
+        return self._estimator.predict(obs)

@@ -12,119 +12,121 @@ the on-line model of :class:`~repro.baselines.estimator.PowerPerfEstimator`:
   sheds the most power per unit of predicted throughput lost.  (The
   steepest-drop heuristic of Winter et al.)
 
-Both run a heap-driven pass per epoch: O(n·L log n) decision cost.  Their
-weakness versus OD-RL is the model itself — the activity/leakage inversion
-drifts with die temperature, so "fits the budget" in the model can overshoot
-in reality, every epoch, systematically.
+Both are the classic heap-driven passes, O(n·L log n) per epoch, solved
+for a stack of runs at once: one stable sort of every level step on the
+running maximum of its heap key along its core's chain reproduces the
+heap's pop order (``docs/batch.md``).  Their weakness versus OD-RL is the
+model itself — the activity/leakage inversion drifts with die temperature,
+so "fits the budget" in the model can overshoot in reality, every epoch,
+systematically.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.estimator import LevelPredictions, PowerPerfEstimator
+from repro.baselines.estimator import LevelPredictions, ModelBasedController
 from repro.manycore.chip import EpochObservation
-from repro.manycore.config import SystemConfig
-from repro.manycore.hetero import HeterogeneousMap
-from repro.sim.interface import Controller
 
-__all__ = ["GreedyAscentController", "SteepestDropController"]
+__all__ = [
+    "GreedyAscentController",
+    "SteepestDropController",
+    "greedy_ascent_stack",
+    "steepest_drop_stack",
+]
+
+
+def _step_order(key: np.ndarray) -> np.ndarray:
+    """Per run, flat ``core * n_steps + step`` indices of the ``(n_runs,
+    n_cores, n_steps)`` heap ``key``s in pop order: by the running max of
+    the key along each core's chain, ties to the lower core, then step."""
+    chained = np.maximum.accumulate(key, axis=-1)
+    return np.argsort(chained.reshape(key.shape[0], -1), axis=1, kind="stable")
+
+
+def greedy_ascent_stack(
+    power: np.ndarray, ips: np.ndarray, budgets: Sequence[float]
+) -> np.ndarray:
+    """Bottom-up marginal-utility allocation: ``(n_runs, n_cores)``
+    levels for ``(n_runs, n_cores, n_levels)`` predicted ``power`` (watts)
+    and ``ips`` under per-run ``budgets`` (watts).
+
+    Upgrades are scanned in heap order and granted first-fit in plain
+    float arithmetic; a core whose next upgrade does not fit is done.
+    """
+    n_runs, n_cores, n_levels = power.shape
+    dp = power[..., 1:] - power[..., :-1]
+    dips = ips[..., 1:] - ips[..., :-1]
+    order = _step_order(-dips / np.maximum(dp, 1e-12))
+    cores = (order // max(n_levels - 1, 1)).tolist()
+    steps = np.take_along_axis(dp.reshape(n_runs, -1), order, axis=1).tolist()
+    out = np.zeros((n_runs, n_cores), dtype=int)
+    for r in range(n_runs):
+        total, budget = float(np.sum(power[r, :, 0])), float(budgets[r])
+        levels, blocked = [0] * n_cores, [False] * n_cores
+        for i, step in zip(cores[r], steps[r]):
+            if blocked[i]:
+                continue
+            if total + step > budget:
+                blocked[i] = True  # this upgrade does not fit; others may
+                continue
+            levels[i] += 1
+            total += step
+        out[r] = levels
+    return out
+
+
+def steepest_drop_stack(
+    power: np.ndarray, ips: np.ndarray, budgets: Sequence[float]
+) -> np.ndarray:
+    """Top-down power shedding: ``(n_runs, n_cores)`` levels for
+    ``(n_runs, n_cores, n_levels)`` predicted ``power`` (watts) and
+    ``ips`` under per-run ``budgets`` (watts).
+
+    Downgrades are taken in heap order until the running total, shed by
+    sequential subtraction from the all-top power, fits the budget.
+    """
+    n_runs, n_cores, n_levels = power.shape
+    # Each core's chain runs top-down: step s lowers level L-1-s by one.
+    dp = (power[..., 1:] - power[..., :-1])[..., ::-1]
+    dips = (ips[..., 1:] - ips[..., :-1])[..., ::-1]
+    # Most power shed per throughput lost first -> smallest dips/dp.
+    order = _step_order(dips / np.maximum(dp, 1e-12))
+    shed = np.take_along_axis(dp.reshape(n_runs, -1), order, axis=1)
+    top = np.array([[float(np.sum(power[r, :, -1]))] for r in range(n_runs)])
+    totals = np.subtract.accumulate(np.concatenate([top, shed], axis=1), axis=1)
+    # Shed while over budget: steps before the first total that fits.
+    over = totals[:, :-1] > np.asarray(budgets, dtype=float)[:, None]
+    n_taken = np.logical_and.accumulate(over, axis=1).sum(axis=1)
+    taken = np.argsort(order, axis=1) < n_taken[:, None]  # by pop position
+    return (n_levels - 1) - taken.reshape(n_runs, n_cores, -1).sum(axis=-1)
 
 
 def _greedy_ascent(pred: LevelPredictions, budget: float) -> np.ndarray:
-    """Bottom-up marginal-utility allocation.  Shared by controllers/tests."""
-    power, ips = pred.power, pred.ips
-    n, n_levels = power.shape
-    levels = np.zeros(n, dtype=int)
-    total = float(np.sum(power[:, 0]))
-    heap = []
-    for i in range(n):
-        if n_levels > 1:
-            dp = power[i, 1] - power[i, 0]
-            dips = ips[i, 1] - ips[i, 0]
-            heap.append((-dips / max(dp, 1e-12), i, 1))
-    heapq.heapify(heap)
-    while heap:
-        _, i, lvl = heapq.heappop(heap)
-        if levels[i] != lvl - 1:
-            continue  # stale entry
-        dp = power[i, lvl] - power[i, lvl - 1]
-        if total + dp > budget:
-            continue  # this upgrade does not fit; others may
-        levels[i] = lvl
-        total += dp
-        if lvl + 1 < n_levels:
-            dp_next = power[i, lvl + 1] - power[i, lvl]
-            dips_next = ips[i, lvl + 1] - ips[i, lvl]
-            heapq.heappush(heap, (-dips_next / max(dp_next, 1e-12), i, lvl + 1))
-    return levels
+    """One-row :func:`greedy_ascent_stack`.  Shared by controllers/tests."""
+    return greedy_ascent_stack(pred.power[None], pred.ips[None], [budget])[0]
 
 
 def _steepest_drop(pred: LevelPredictions, budget: float) -> np.ndarray:
-    """Top-down power shedding.  Shared by controllers/tests."""
-    power, ips = pred.power, pred.ips
-    n, n_levels = power.shape
-    levels = np.full(n, n_levels - 1, dtype=int)
-    total = float(np.sum(power[:, -1]))
-    heap = []
-
-    def push(i: int) -> None:
-        lvl = levels[i]
-        if lvl == 0:
-            return
-        dp = power[i, lvl] - power[i, lvl - 1]
-        dips = ips[i, lvl] - ips[i, lvl - 1]
-        # Most power shed per throughput lost first -> smallest dips/dp.
-        heap.append((dips / max(dp, 1e-12), i, lvl))
-
-    for i in range(n):
-        push(i)
-    heapq.heapify(heap)
-    while total > budget and heap:
-        _, i, lvl = heapq.heappop(heap)
-        if levels[i] != lvl:
-            continue  # stale entry
-        levels[i] = lvl - 1
-        total -= power[i, lvl] - power[i, lvl - 1]
-        if levels[i] > 0:
-            dp = power[i, levels[i]] - power[i, levels[i] - 1]
-            dips = ips[i, levels[i]] - ips[i, levels[i] - 1]
-            heapq.heappush(heap, (dips / max(dp, 1e-12), i, levels[i]))
-    return levels
+    """One-row :func:`steepest_drop_stack`.  Shared by controllers/tests."""
+    return steepest_drop_stack(pred.power[None], pred.ips[None], [budget])[0]
 
 
-class GreedyAscentController(Controller):
+class GreedyAscentController(ModelBasedController):
     """Per-epoch bottom-up marginal-utility allocation on model predictions."""
 
     name = "greedy-ascent"
 
-    def __init__(self, cfg: SystemConfig, hetero: HeterogeneousMap | None = None) -> None:
-        super().__init__(cfg)
-        self._estimator = PowerPerfEstimator(cfg, hetero=hetero)
-
     def decide(self, obs: Optional[EpochObservation]) -> np.ndarray:
-        if obs is None:
-            pred = self._estimator.cold_predictions(self.n_cores)
-        else:
-            pred = self._estimator.predict(obs)
-        return _greedy_ascent(pred, self.cfg.power_budget)
+        return _greedy_ascent(self.predictions(obs), self.cfg.power_budget)
 
 
-class SteepestDropController(Controller):
+class SteepestDropController(ModelBasedController):
     """Per-epoch top-down steepest-drop power shedding on model predictions."""
 
     name = "steepest-drop"
 
-    def __init__(self, cfg: SystemConfig, hetero: HeterogeneousMap | None = None) -> None:
-        super().__init__(cfg)
-        self._estimator = PowerPerfEstimator(cfg, hetero=hetero)
-
     def decide(self, obs: Optional[EpochObservation]) -> np.ndarray:
-        if obs is None:
-            pred = self._estimator.cold_predictions(self.n_cores)
-        else:
-            pred = self._estimator.predict(obs)
-        return _steepest_drop(pred, self.cfg.power_budget)
+        return _steepest_drop(self.predictions(obs), self.cfg.power_budget)

@@ -12,7 +12,8 @@ Two solvers are provided:
   quantized power, O(n · L · Q) time and O(n · Q) memory for Q power
   quanta.  This is the practical "optimized" variant; it is still two to
   three orders of magnitude more expensive per decision than OD-RL's O(n)
-  table lookups at hundreds of cores.
+  table lookups at hundreds of cores.  :func:`solve_dp_stack` runs the
+  same DP for a stack of runs at once (the batched backend's decide).
 
 Both solvers maximize ``sum(ips)`` subject to ``sum(power) <= budget``.
 The DP quantizes power *up* per (core, level) so its chosen assignment
@@ -26,13 +27,12 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.estimator import LevelPredictions, PowerPerfEstimator
+from repro.baselines.estimator import LevelPredictions, ModelBasedController
 from repro.manycore.chip import EpochObservation
 from repro.manycore.config import SystemConfig
 from repro.manycore.hetero import HeterogeneousMap
-from repro.sim.interface import Controller
 
-__all__ = ["solve_exhaustive", "solve_dp", "MaxBIPSController"]
+__all__ = ["solve_exhaustive", "solve_dp", "solve_dp_stack", "MaxBIPSController"]
 
 _EXHAUSTIVE_LIMIT = 2_000_000  # max assignments enumerated before refusing
 
@@ -135,7 +135,50 @@ def solve_dp(
     return levels
 
 
-class MaxBIPSController(Controller):
+def solve_dp_stack(
+    power: np.ndarray, ips: np.ndarray, budgets: np.ndarray, n_quanta: int
+) -> np.ndarray:
+    """:func:`solve_dp` for a stack of runs, bit for bit: ``(n_runs,
+    n_cores)`` levels for ``(n_runs, n_cores, n_levels)`` predicted
+    ``power`` (watts) and ``ips`` under per-run ``budgets`` (watts).
+
+    Value tables sit right of ``-inf`` padding, so the level-``c`` shift
+    ``value[w - c]`` is a row of their sliding windows; the kept level is
+    the first attaining the maximum, as in the serial strict-``>`` loop.
+    """
+    n_runs, n_cores, n_levels = power.shape
+    width = n_quanta + 1
+    quantum = budgets / n_quanta
+    cost = np.minimum(np.ceil(power / quantum[:, None, None]).astype(int), width)
+    padded = np.full((n_runs, 2 * width), -np.inf)
+    padded[:, width] = 0.0
+    value = padded[:, width:]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=1)
+    rows = np.arange(n_runs)[None, :]
+    # The largest n_levels - l among levels attaining the max marks the
+    # first of them (a first-occurrence argmax, without argmax's cost).
+    rank = (n_levels - np.arange(n_levels, dtype=np.int8))[:, None, None]
+    choice = np.zeros((n_runs, n_cores, width), dtype=np.int8)
+    for i in range(n_cores):
+        shifted = windows[rows, width - cost[:, i].T]  # (level, run, weight)
+        shifted += ips[:, i].T[:, :, None]
+        np.max(shifted, axis=0, out=value)
+        first = np.max((shifted == value).view(np.int8) * rank, axis=0)
+        choice[:, i] = n_levels - first
+
+    out = np.zeros((n_runs, n_cores), dtype=int)
+    for r in range(n_runs):
+        w = int(np.argmax(value[r]))
+        if float(np.sum(power[r, :, 0])) > budgets[r] or not np.isfinite(value[r, w]):
+            continue  # all-bottom, as the serial early returns
+        for i in range(n_cores - 1, -1, -1):
+            lvl = int(choice[r, i, w])
+            out[r, i] = lvl
+            w -= int(cost[r, i, lvl])
+    return out
+
+
+class MaxBIPSController(ModelBasedController):
     """Per-epoch MaxBIPS optimization on model predictions.
 
     Parameters
@@ -162,7 +205,7 @@ class MaxBIPSController(Controller):
         n_quanta: int | None = None,
         hetero: HeterogeneousMap | None = None,
     ) -> None:
-        super().__init__(cfg)
+        super().__init__(cfg, hetero=hetero)
         if method not in ("dp", "exhaustive"):
             raise ValueError(f"method must be 'dp' or 'exhaustive', got {method!r}")
         self.method = method
@@ -171,13 +214,9 @@ class MaxBIPSController(Controller):
         )
         if self.n_quanta < 2:
             raise ValueError(f"n_quanta must be >= 2, got {self.n_quanta}")
-        self._estimator = PowerPerfEstimator(cfg, hetero=hetero)
 
     def decide(self, obs: Optional[EpochObservation]) -> np.ndarray:
-        if obs is None:
-            pred = self._estimator.cold_predictions(self.n_cores)
-        else:
-            pred = self._estimator.predict(obs)
+        pred = self.predictions(obs)
         if self.method == "exhaustive":
             return solve_exhaustive(pred, self.cfg.power_budget)
         return solve_dp(pred, self.cfg.power_budget, self.n_quanta)

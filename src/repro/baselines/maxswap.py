@@ -21,12 +21,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.estimator import LevelPredictions, PowerPerfEstimator
+from repro.baselines.estimator import LevelPredictions, ModelBasedController
 from repro.baselines.greedy import _greedy_ascent
 from repro.manycore.chip import EpochObservation
-from repro.manycore.config import SystemConfig
-from repro.manycore.hetero import HeterogeneousMap
-from repro.sim.interface import Controller
 
 __all__ = ["solve_max_swap", "MaxSwapController"]
 
@@ -169,18 +166,10 @@ def _greedy_ascent_from(
     return levels, total
 
 
-class MaxSwapController(Controller):
+class MaxSwapController(ModelBasedController):
     """Per-epoch maximize-then-swap allocation on model predictions."""
 
     name = "max-swap"
 
-    def __init__(self, cfg: SystemConfig, hetero: HeterogeneousMap | None = None) -> None:
-        super().__init__(cfg)
-        self._estimator = PowerPerfEstimator(cfg, hetero=hetero)
-
     def decide(self, obs: Optional[EpochObservation]) -> np.ndarray:
-        if obs is None:
-            pred = self._estimator.cold_predictions(self.n_cores)
-        else:
-            pred = self._estimator.predict(obs)
-        return solve_max_swap(pred, self.cfg.power_budget)
+        return solve_max_swap(self.predictions(obs), self.cfg.power_budget)

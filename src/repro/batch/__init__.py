@@ -14,6 +14,7 @@ from repro.batch.chip import BatchChip, BatchObservation
 from repro.batch.policies import (
     BatchCompatError,
     BatchMaxBIPS,
+    BatchModelBased,
     BatchODRL,
     BatchPolicy,
     PerRunPolicy,
@@ -32,6 +33,7 @@ __all__ = [
     "BatchPolicy",
     "BatchODRL",
     "BatchMaxBIPS",
+    "BatchModelBased",
     "PerRunPolicy",
     "build_batch_policy",
     "batch_unsupported_reason",

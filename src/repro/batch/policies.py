@@ -7,6 +7,7 @@ module keeps the historical ``repro.batch.policies`` import surface.
 from repro.kernel.policies import (
     BatchCompatError,
     BatchMaxBIPS,
+    BatchModelBased,
     BatchODRL,
     BatchPolicy,
     PerRunPolicy,
@@ -19,5 +20,6 @@ __all__ = [
     "PerRunPolicy",
     "BatchODRL",
     "BatchMaxBIPS",
+    "BatchModelBased",
     "build_batch_policy",
 ]

@@ -7,11 +7,11 @@ Three shapes, selected by :func:`build_batch_policy`:
   telemetry sanitization / reward / state encoding vectorize over runs, and
   the RNG-consuming action step plus the TD scatter run per run in the
   exact serial order (the RNG draw sequence per run is untouched).
-* :class:`BatchMaxBIPS` — all runs are DP-method
-  :class:`MaxBIPSController` instances sharing estimator tables: the
-  telemetry inversion vectorizes over runs and the knapsack DP runs all
-  runs per (core, level) inner step.  This is the batching that actually
-  pays — MaxBIPS spends ~90 % of its wall-clock inside ``solve_dp``.
+* :class:`BatchModelBased` (alias :class:`BatchMaxBIPS`) — all runs are
+  stock greedy-ascent, steepest-drop or DP-method MaxBIPS controllers of
+  one class sharing estimator tables: the telemetry inversion vectorizes
+  over runs and feeds the class's stacked solver.  Model-based decides
+  dominate the paper grid's wall-clock, so this batching pays most.
 * :class:`PerRunPolicy` — anything else (including watchdog-wrapped
   drivers): the kernel plant is still shared, but each run's serial
   controller consumes its own row view of the kernel observation.
@@ -32,11 +32,19 @@ reductions are row-view sums with the serial pairwise order.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.baselines.maxbips import MaxBIPSController
+from repro.baselines.estimator import ModelBasedController
+from repro.baselines.greedy import (
+    GreedyAscentController,
+    SteepestDropController,
+    greedy_ascent_stack,
+    steepest_drop_stack,
+)
+from repro.baselines.maxbips import MaxBIPSController, solve_dp_stack
 from repro.contracts import check_q_table
 from repro.core.budget import reallocate_budget
 from repro.core.controller import ODRLController
@@ -48,6 +56,7 @@ __all__ = [
     "BatchPolicy",
     "PerRunPolicy",
     "BatchODRL",
+    "BatchModelBased",
     "BatchMaxBIPS",
     "build_batch_policy",
 ]
@@ -76,9 +85,10 @@ class BatchPolicy(ABC):
         self.n_cores = self.controllers[0].n_cores
         self.n_levels = self.controllers[0].n_levels
 
-    @abstractmethod
     def reset(self) -> None:
         """Reset every run's controller state (start of the batch run)."""
+        for ctrl in self.controllers:
+            ctrl.reset()
 
     @abstractmethod
     def decide(
@@ -120,10 +130,6 @@ class PerRunPolicy(BatchPolicy):
     """
 
     kind = "per-run"
-
-    def reset(self) -> None:
-        for ctrl in self.controllers:
-            ctrl.reset()
 
     def decide(
         self,
@@ -181,8 +187,7 @@ class BatchODRL(BatchPolicy):
         self.reset()
 
     def reset(self) -> None:
-        for ctrl in self.controllers:
-            ctrl.reset()
+        super().reset()
         n_runs, n_cores = self.n_runs, self.n_cores
         # Steal the freshly reset per-run learner state; from here on the
         # stacked arrays are the single source of truth.
@@ -469,126 +474,55 @@ class BatchODRL(BatchPolicy):
         return next_levels
 
 
-class BatchMaxBIPS(BatchPolicy):
-    """All runs' MaxBIPS (DP method) decided by one batched knapsack.
+#: Batched model-based controller classes and their stacked solvers.
+_STACKED_SOLVERS = {
+    GreedyAscentController: greedy_ascent_stack,
+    SteepestDropController: steepest_drop_stack,
+    MaxBIPSController: solve_dp_stack,
+}
 
-    The telemetry-to-prediction inversion vectorizes over runs; the DP
-    sweeps all runs together per (core, level) step via a gather-shift
-    that evaluates exactly the serial ``value[w - c] + gain`` additions.
-    Budgets may differ per run (each run has its own value table and
-    quantum).  The policy is epoch-stateless, so ragged masking needs no
-    gating — inactive rows simply compute unused (but valid) levels.
+
+class BatchModelBased(BatchPolicy):
+    """All runs' model-based baselines decided by one stacked solver.
+
+    One estimator inversion over the stack (:meth:`PowerPerfEstimator.
+    predict_stack`) feeds the controller class's stacked solver; budgets
+    may differ per run.  The policy is epoch-stateless, so ragged masking
+    needs no gating — inactive rows compute unused (but valid) levels.
     """
 
-    kind = "maxbips"
+    kind = "model-based"
 
-    def __init__(self, controllers: Sequence[MaxBIPSController]) -> None:
+    def __init__(self, controllers: Sequence[ModelBasedController]) -> None:
         super().__init__(controllers)
         c0 = controllers[0]
-        self.cfg = c0.cfg
-        self.n_quanta = c0.n_quanta
-        estimator = c0._estimator
-        self._freqs = estimator._freqs
-        self._volts = estimator._volts
-        self._ceff = estimator._ceff
-        self._base_cpi = estimator._base_cpi
-        self._leak_per_level = estimator._leak_per_level
-        self._budgets = np.array([c.cfg.power_budget for c in controllers])
-        self._cores = np.arange(self.n_cores)
-
-    def reset(self) -> None:
-        for ctrl in self.controllers:
-            ctrl.reset()
+        self._estimator = c0._estimator
+        extra = {"n_quanta": c0.n_quanta} if isinstance(c0, MaxBIPSController) else {}
+        self._solve = partial(
+            _STACKED_SOLVERS[type(c0)],
+            budgets=np.array([c.cfg.power_budget for c in controllers]),
+            **extra,
+        )
 
     def decide(
         self,
         bobs: Optional[KernelObservation],
         active: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        cfg = self.cfg
-        n_runs, n_cores, n_levels = self.n_runs, self.n_cores, self.n_levels
         if bobs is None:
-            # Cold predictions are telemetry-free, hence run-independent:
-            # compute once and tile by assignment (broadcast_to would give
-            # stride-0 rows whose reductions differ from serial).
-            ctrl0 = self.controllers[0]
-            pred = ctrl0._estimator.cold_predictions(n_cores)  # type: ignore[attr-defined]
-            power3 = np.empty((n_runs, n_cores, n_levels))
-            power3[:] = pred.power
-            ips3 = np.empty((n_runs, n_cores, n_levels))
-            ips3[:] = pred.ips
+            # Cold predictions are telemetry-free, hence run-independent;
+            # tiled into real rows, not stride-0 broadcast views.
+            pred = self._estimator.cold_predictions(self.n_cores)
+            power, ips = (np.tile(a, (self.n_runs, 1, 1)) for a in (pred.power, pred.ips))
         else:
-            levels = np.asarray(bobs.levels, dtype=int)
-            f_cur = self._freqs[self._cores[None, :], levels]
-            v_cur = self._volts[levels]
-            cycles = np.maximum(f_cur * cfg.epoch_time, 1.0)
-            ipc = np.clip(bobs.sensed_instructions / cycles, 1e-6, None)
-            mu = np.maximum(0.0, (1.0 / ipc - self._base_cpi)) / (
-                cfg.mem_latency * f_cur + 1e-30
+            power, ips = self._estimator.predict_stack(
+                bobs.levels, bobs.sensed_instructions, bobs.sensed_power
             )
-            leak_cur = self._leak_per_level[self._cores[None, :], levels]
-            p_dyn = np.maximum(0.0, bobs.sensed_power - leak_cur)
-            act = p_dyn / (self._ceff * v_cur**2 * f_cur)
-            act = np.clip(act, cfg.activity_range[0], cfg.activity_range[1])
-            f = self._freqs
-            v2 = self._volts[None, :] ** 2
-            power3 = act[:, :, None] * self._ceff[:, None] * v2 * f + self._leak_per_level
-            ips3 = f / (self._base_cpi[:, None] + mu[:, :, None] * cfg.mem_latency * f)
-        return self._solve_dp_batch(power3, ips3)
+        return self._solve(power, ips)
 
-    def _solve_dp_batch(self, power3: np.ndarray, ips3: np.ndarray) -> np.ndarray:
-        """Batched :func:`repro.baselines.maxbips.solve_dp`.
 
-        Per run and weight, the serial loop keeps the *first* level
-        attaining the maximum ``value[w - c] + gain`` (strict ``>``
-        against the running best); evaluating all levels at once and
-        reducing with first-occurrence ``argmax`` selects the same level,
-        so the surviving float is the same addition's result bit for bit.
-        Runs where even the all-bottom assignment overshoots return
-        all-zeros before any backtracking, exactly as the serial early
-        return does.
-        """
-        n_runs, n_cores, n_levels = power3.shape
-        n_quanta = self.n_quanta
-        quantum = self._budgets / n_quanta
-        cost = np.minimum(
-            np.ceil(power3 / quantum[:, None, None]).astype(int), n_quanta + 1
-        )
-        infeasible = np.zeros(n_runs, dtype=bool)
-        for r in range(n_runs):
-            if float(np.sum(power3[r, :, 0])) > self._budgets[r]:
-                infeasible[r] = True
-
-        neg_inf = -np.inf
-        value = np.full((n_runs, n_quanta + 1), neg_inf)
-        value[:, 0] = 0.0
-        choice = np.zeros((n_runs, n_cores, n_quanta + 1), dtype=np.int8)
-        w_idx = np.arange(n_quanta + 1)
-        run_idx3 = np.arange(n_runs)[:, None, None]
-        for i in range(n_cores):
-            c = cost[:, i, :]
-            gain = ips3[:, i, :]
-            src = w_idx[None, None, :] - c[:, :, None]
-            ok = (c[:, :, None] <= n_quanta) & (src >= 0)
-            gathered = value[run_idx3, np.where(ok, src, 0)]
-            shifted = np.where(ok, gathered + gain[:, :, None], neg_inf)
-            best = np.argmax(shifted, axis=1)
-            value = np.take_along_axis(shifted, best[:, None, :], axis=1)[:, 0, :]
-            choice[:, i] = best.astype(np.int8)
-
-        out = np.zeros((n_runs, n_cores), dtype=int)
-        for r in range(n_runs):
-            if infeasible[r]:
-                continue
-            w_best = int(np.argmax(value[r]))
-            if not np.isfinite(value[r, w_best]):
-                continue
-            w = w_best
-            for i in range(n_cores - 1, -1, -1):
-                lvl = int(choice[r, i, w])
-                out[r, i] = lvl
-                w -= int(cost[r, i, lvl])
-        return out
+#: The name ``repro.batch`` has always exported (the benchmark imports it).
+BatchMaxBIPS = BatchModelBased
 
 
 def _check_odrl_group(ctrls: List[ODRLController]) -> None:
@@ -636,14 +570,14 @@ def _check_odrl_group(ctrls: List[ODRLController]) -> None:
             raise BatchCompatError("power floors/caps differ across runs")
 
 
-def _check_maxbips_group(ctrls: List[MaxBIPSController]) -> None:
+def _check_model_group(ctrls: List[ModelBasedController]) -> None:
     c0 = ctrls[0]
     for c in ctrls:
-        if type(c) is not MaxBIPSController:
-            raise BatchCompatError(f"not a stock MaxBIPSController: {type(c).__name__}")
-        if c.method != "dp":
+        if type(c) is not type(c0):
+            raise BatchCompatError("controller classes differ across runs")
+        if getattr(c, "method", "dp") != "dp":
             raise BatchCompatError("only the DP method batches")
-        if c.n_quanta != c0.n_quanta:
+        if getattr(c, "n_quanta", None) != getattr(c0, "n_quanta", None):
             raise BatchCompatError("n_quanta differs across runs")
         e, e0 = c._estimator, c0._estimator
         if not (
@@ -673,10 +607,10 @@ def build_batch_policy(controllers: Sequence[Controller]) -> BatchPolicy:
             odrl = [c for c in ctrls if isinstance(c, ODRLController)]
             _check_odrl_group(odrl)
             return BatchODRL(odrl)
-        if all(isinstance(c, MaxBIPSController) for c in ctrls):
-            mb = [c for c in ctrls if isinstance(c, MaxBIPSController)]
-            _check_maxbips_group(mb)
-            return BatchMaxBIPS(mb)
+        model = [c for c in ctrls if isinstance(c, ModelBasedController)]
+        if len(model) == len(ctrls) and type(ctrls[0]) in _STACKED_SOLVERS:
+            _check_model_group(model)
+            return BatchModelBased(model)
     except BatchCompatError:
         return PerRunPolicy(ctrls)
     return PerRunPolicy(ctrls)

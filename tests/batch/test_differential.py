@@ -29,9 +29,10 @@ N_CORES = 8
 N_EPOCHS = 30
 SEED = 0
 
-#: The specialized batch policy (od-rl), the generic per-run fallback
-#: (greedy-ascent has no batched implementation), and two deterministic
-#: baselines with very different decision structure.
+#: Both stacked-decide policies (od-rl, and greedy-ascent through the
+#: model-based policy) and two deterministic baselines with very
+#: different decision structure that decide through the generic per-run
+#: fallback.
 CONTROLLERS = ("od-rl", "pid", "static-uniform", "greedy-ascent")
 BATCH_SIZES = (1, 3, 8)
 JOBS_MATRIX = (1, 2)
@@ -205,13 +206,13 @@ class TestMixedBatch:
         assert [e["size"] for e in events if e["type"] == "cell_batched"] == [3, 3, 3]
 
     def test_per_run_policy_mixed_budgets(self, cfg, workloads):
-        # greedy-ascent has no specialized batch policy: the generic
-        # per-run fallback must still stack (and match) mixed budgets.
-        factory = standard_controllers(seed=SEED)["greedy-ascent"]
+        # max-swap has no specialized batch policy: the generic per-run
+        # fallback must still stack (and match) mixed budgets.
+        factory = standard_controllers(seed=SEED)["max-swap"]
         tasks = _mixed_tasks(
             cfg, workloads["mixed"], [factory] * len(self.FRACS), self.FRACS
         )
-        _run_and_compare_mixed(tasks, "greedy-ascent mixed batch")
+        _run_and_compare_mixed(tasks, "max-swap mixed batch")
 
     def test_ragged_epoch_counts_in_one_stack(self, cfg, workloads):
         # Cells differing in n_epochs share a stack: the group is padded

@@ -5,7 +5,7 @@ to end; these tests pin the branches it never reaches — non-default
 OD-RL options (SARSA, absolute actions, energy-weighted rewards, raw
 telemetry), the graceful-degradation repair path, the per-field
 compatibility checks behind :func:`build_batch_policy`'s fallback, and
-the MaxBIPS infeasible-budget early exit.  Every option branch that
+the model-based infeasible-budget exits.  Every option branch that
 batches is also checked bit-for-bit against the serial controllers it
 replaces.
 """
@@ -17,6 +17,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.baselines.greedy import GreedyAscentController, SteepestDropController
 from repro.baselines.maxbips import MaxBIPSController
 from repro.core.controller import ODRLController
 from repro.core.reward import RewardParams
@@ -25,6 +26,7 @@ from repro.faults.sanitizer import SanitizerPolicy
 from repro.kernel.epoch import EpochKernel
 from repro.kernel.policies import (
     BatchMaxBIPS,
+    BatchModelBased,
     BatchODRL,
     PerRunPolicy,
     build_batch_policy,
@@ -166,11 +168,29 @@ class TestMaxBIPSBatch:
         np.testing.assert_array_equal(levels[0], MaxBIPSController(CFG).decide(None))
 
 
+class TestModelBasedBatch:
+    """Greedy ascent and steepest drop share the MaxBIPS policy class."""
+
+    @pytest.mark.parametrize("cls", [GreedyAscentController, SteepestDropController])
+    def test_infeasible_budget_parks_all_cores(self, cls):
+        starved = dataclasses.replace(CFG, power_budget=1e-6)
+        policy = build_batch_policy([cls(CFG), cls(starved)])
+        assert type(policy) is BatchMaxBIPS is BatchModelBased
+        levels = policy.decide(None)
+        assert (levels[1] == 0).all()  # nothing fits: everything at the bottom
+        np.testing.assert_array_equal(levels[0], cls(CFG).decide(None))
+
+
+
 class _TweakedODRL(ODRLController):
     pass
 
 
 class _TweakedMaxBIPS(MaxBIPSController):
+    pass
+
+
+class _TweakedGreedy(GreedyAscentController):
     pass
 
 
@@ -225,6 +245,13 @@ class TestCompatFallback:
                 MaxBIPSController(CFG, hetero=big_little_map(N_CORES)),
             ],
             lambda: [ODRLController(CFG), MaxBIPSController(CFG)],
+            lambda: [MaxBIPSController(CFG), ODRLController(CFG)],
+            lambda: [GreedyAscentController(CFG), SteepestDropController(CFG)],
+            lambda: [_TweakedGreedy(CFG), GreedyAscentController(CFG)],
+            lambda: [
+                SteepestDropController(CFG),
+                SteepestDropController(CFG, hetero=big_little_map(N_CORES)),
+            ],
         ],
         ids=[
             "odrl-subclass",
@@ -242,6 +269,10 @@ class TestCompatFallback:
             "n-quanta",
             "estimator-tables",
             "mixed-kinds",
+            "model-first-mixed-kinds",
+            "mixed-heuristics",
+            "greedy-subclass",
+            "heuristic-estimator-tables",
         ],
     )
     def test_mismatch_falls_back_to_serial(self, make_group):

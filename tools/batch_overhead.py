@@ -8,11 +8,10 @@ largest cap — at least 8, the scale EXPERIMENTS.md quotes — must hit the
 wall-clock budget: batched suite time at most ``--threshold`` (default
 0.45) of the serial suite time.
 
-Two operating points matter.  The full E2 lineup is decide-bound — the
-heap-driven greedy baselines run their per-run Python loop either way —
-so its honest budget is ~2.2x.  The kernel-native controllers (``od-rl``,
-``pid``), whose decide is vectorized across the stack, clear 3x at batch
-8; CI pins both.  ``--json`` archives the measured curve as a
+Two operating points matter.  The full E2 lineup, whose od-rl and
+model-based baselines decide each stack in one call, is pinned at a
+0.45x wall-clock budget.  ``od-rl`` plus ``pid`` (a cheap per-run
+decide) clear 3x at batch 8; CI pins both.  ``--json`` archives the measured curve as a
 ``BENCH_KERNEL.json`` payload that ``tools/bench_summary.py`` renders
 alongside the per-experiment bench artifacts.
 
