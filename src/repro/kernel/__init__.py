@@ -4,11 +4,11 @@
 ``(n_runs, n_cores)`` epoch step — power, thermal, phase, sensor, and
 fault advance.  The serial chip (:class:`repro.manycore.chip.ManyCoreChip`)
 is an ``n_runs=1`` view, worker processes (``jobs=N``) run the serial
-view per cell, and the batched backend (:mod:`repro.batch`) is the
-kernel plus stacking/unstacking adapters.  The batched controller
-implementations live in :mod:`repro.kernel.policies` (re-exported by
-``repro.batch.policies``); they are *not* imported here because they pull
-in the controller layer, which imports this package's views.
+view per cell, and the batched backend (:mod:`repro.batch`) plans
+stacks of N runs; one loop (:func:`repro.sim.simulator.simulate_stack`)
+drives every kernel stack.  The batched controller implementations live
+in :mod:`repro.kernel.policies`; they are *not* imported here because
+they pull in the controller layer, which imports this package's views.
 
 The kernel's array operations route through the namespace indirection in
 :mod:`repro.kernel.backend` (``numpy`` default), making a GPU (``cupy``)

@@ -6,9 +6,12 @@ backend is a view over it:
 
 * the serial chip (:class:`repro.manycore.chip.ManyCoreChip`) wraps an
   ``n_runs=1`` kernel and hands out row views;
-* the batched backend (:class:`repro.batch.chip.BatchChip`) *is* the
-  kernel plus a stacking constructor;
+* the batched backend (:func:`repro.batch.simulate_batch`) builds an
+  ``n_runs=N`` kernel with ``n_epochs`` set and drives it directly;
 * worker processes (``jobs=N``) run the serial view per cell.
+
+Both the serial and the batched runs go through the one simulate loop,
+:func:`repro.sim.simulator.simulate_stack`.
 
 The bit-identity contract between all of them rests on three facts:
 

@@ -48,7 +48,7 @@ from repro.baselines.maxbips import MaxBIPSController, solve_dp_stack
 from repro.contracts import check_q_table
 from repro.core.budget import reallocate_budget
 from repro.core.controller import ODRLController
-from repro.kernel.epoch import KernelObservation
+from repro.kernel.epoch import KernelObservation, _row_active
 from repro.sim.interface import Controller
 
 __all__ = [
@@ -60,11 +60,6 @@ __all__ = [
     "BatchMaxBIPS",
     "build_batch_policy",
 ]
-
-
-def _row_active(active: Optional[np.ndarray], run: int) -> bool:
-    """Whether ``run`` is live this epoch (no mask means all rows live)."""
-    return active is None or bool(active[run])
 
 
 class BatchCompatError(ValueError):
@@ -101,7 +96,7 @@ class BatchPolicy(ABC):
         ``active`` is the ragged-stack row mask: rows with ``active[r]``
         false belong to finished runs and must not advance any per-run
         controller state (RNG draws, counters, learner tables); their
-        output rows are unspecified — the batch simulator freezes them.
+        output rows are unspecified — the simulate loop freezes them.
         """
 
     def degradation_extras(self, run: int) -> Optional[Dict[str, int]]:

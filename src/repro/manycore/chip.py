@@ -24,7 +24,7 @@ loop is firmware.  Budget violation accounting lives in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -271,17 +271,6 @@ class ManyCoreChip:
     @validate.setter
     def validate(self, armed: bool) -> None:
         self._kernel.validate = armed
-
-    @property
-    def profiler(self) -> Optional[object]:
-        """Optional :class:`repro.obs.PhaseProfiler`; when attached (the
-        simulator does this under ``profile=True``) sensor reads are timed
-        into the ``sensor`` phase.  Write-only telemetry."""
-        return self._kernel.profiler
-
-    @profiler.setter
-    def profiler(self, profiler: Optional[object]) -> None:
-        self._kernel.profiler = profiler
 
     @property
     def epoch(self) -> int:

@@ -360,8 +360,19 @@ def _run_batched(
     plan = plan_batches([tasks[i] for i in batchable], max_batch)
     for group_index, group in enumerate(plan):
         members = [batchable[j] for j in group]
+        # Traced members record into their own buffers, replayed below in
+        # task order exactly as pool workers' buffers are.
+        buffers = {
+            i: BufferRecorder() for i in members if tasks[i].trace and rec.enabled
+        }
         try:
-            group_results = simulate_batch([tasks[i] for i in members])
+            group_tasks = [tasks[i] for i in members]
+            if buffers:
+                group_results = simulate_batch(
+                    group_tasks, recorders=[buffers.get(i) for i in members]
+                )
+            else:
+                group_results = simulate_batch(group_tasks)
         except Exception:
             # Recorded and re-queued, never swallowed: every member is
             # recomputed by the serial/pool path below.
@@ -384,6 +395,8 @@ def _run_batched(
             if store is not None and keys[i] is not None:
                 store.put_safe(keys[i], result)
             if rec.enabled:
+                if i in buffers:
+                    _replay_events(rec, buffers[i].events)
                 rec.emit(
                     "cell_batched",
                     cell=tasks[i].cell.label(),
@@ -452,8 +465,8 @@ def execute_cells(
         ``True`` stacks each compatible group whole; an integer caps the
         runs per stack.  Mixed budgets, seeds, epoch counts, fault
         campaigns, variation/hetero maps, and watchdog supervision all
-        stack.  Cells the backend declines (tracing, profiling,
-        non-default ``sensors``/``memory_system`` — see
+        stack, traced and profiled cells included.  Cells the backend
+        declines (non-default ``sensors``/``memory_system`` — see
         :func:`repro.batch.batch_unsupported_reason`) or that fail inside
         a batch fall back to the serial/pool path with a recorded
         ``cell_fallback`` reason; results are bit-identical either way.

@@ -38,7 +38,6 @@ from repro.manycore.config import SystemConfig
 from repro.obs import Recorder
 from repro.sim.interface import Controller
 from repro.sim.results import SimulationResult
-from repro.sim.simulator import run_controller
 from repro.workloads.phases import Workload
 
 if TYPE_CHECKING:
@@ -315,8 +314,9 @@ def run_suite(
     Parameters
     ----------
     jobs:
-        Worker process count.  The default ``1`` runs the historical
-        serial loop in-process; ``jobs > 1`` shards the controller ×
+        Worker process count.  The default ``1`` runs every cell inline
+        in this process (exceptions propagate unchanged); ``jobs > 1``
+        shards the controller ×
         workload grid across spawned workers (factories must then be
         picklable — the standard lineup is).
     cache:
@@ -343,9 +343,10 @@ def run_suite(
         each compatible group whole; an integer caps the stack size.
         Results are bit-identical to the serial loop; mixed budgets,
         seeds, epoch counts, fault campaigns, variation/hetero maps, and
-        watchdog supervision all stack.  Incompatible cells (tracing or
-        profiling enabled, non-default ``sensors``/``memory_system``)
-        fall back per cell with a recorded reason.  Composes with ``cache=``
+        watchdog supervision all stack, traced and profiled cells
+        included.  Incompatible cells (non-default
+        ``sensors``/``memory_system``) fall back per cell with a recorded
+        reason.  Composes with ``cache=``
         (batching never changes a cell's cache key) and with ``jobs=``
         for the fallback cells.
     retry_policy, timeout, chaos, journal:
@@ -367,22 +368,6 @@ def run_suite(
     if n_epochs <= 0:
         raise ValueError(f"n_epochs must be positive, got {n_epochs}")
     extra = dict(sim_kwargs or {})
-    resilient = (
-        retry_policy is not None or timeout is not None
-        or chaos is not None or journal is not None
-    )
-    if (jobs == 1 and cache is None and recorder is None and not profile
-            and not batch and not resilient):
-        results: Dict[str, Dict[str, SimulationResult]] = {}
-        for ctrl_name, factory in controllers.items():
-            results[ctrl_name] = {}
-            for wl_name, workload in workloads.items():
-                controller = factory(cfg)
-                results[ctrl_name][wl_name] = run_controller(
-                    cfg, workload, controller, n_epochs, **extra
-                )
-        return results
-
     from repro.parallel.cells import merge_suite
     from repro.parallel.engine import execute_cells
 
@@ -437,23 +422,6 @@ def run_budget_sweep(
     if n_epochs <= 0:
         raise ValueError(f"n_epochs must be positive, got {n_epochs}")
     extra = dict(sim_kwargs or {})
-    resilient = (
-        retry_policy is not None or timeout is not None
-        or chaos is not None or journal is not None
-    )
-    if (jobs == 1 and cache is None and recorder is None and not profile
-            and not batch and not resilient):
-        results: Dict[str, Dict[float, SimulationResult]] = {}
-        for ctrl_name, factory in controllers.items():
-            results[ctrl_name] = {}
-            for budget in budgets:
-                cfg = base_cfg.with_budget(budget)
-                controller = factory(cfg)
-                results[ctrl_name][budget] = run_controller(
-                    cfg, workload, controller, n_epochs, **extra
-                )
-        return results
-
     from repro.parallel.cells import merge_sweep
     from repro.parallel.engine import execute_cells
 

@@ -15,7 +15,7 @@ from repro.baselines import StaticUniformController
 from repro.batch import batch_unsupported_reason, plan_batches
 from repro.faults import FaultCampaign
 from repro.faults.injector import FaultInjector
-from repro.manycore import default_system
+from repro.manycore import SensorSuite, default_system
 from repro.obs import BufferRecorder
 from repro.parallel import (
     CellTask,
@@ -77,12 +77,14 @@ class TestUnsupportedReasons:
         assert batch_unsupported_reason(task) is None
 
     def test_trace(self, cfg, workload, lineup):
+        # Traced cells stack: each row records into its own recorder.
         task = make_task(cfg, workload, lineup["od-rl"], trace=True)
-        assert batch_unsupported_reason(task) == "trace"
+        assert batch_unsupported_reason(task) is None
 
     def test_profile(self, cfg, workload, lineup):
+        # Profiled cells stack: rows share the stack's phase profiler.
         task = make_task(cfg, workload, lineup["od-rl"], profile=True)
-        assert batch_unsupported_reason(task) == "profile"
+        assert batch_unsupported_reason(task) is None
 
     def test_watchdog_is_batchable(self, cfg, workload, lineup):
         # Watchdog-supervised cells batch via PerRunPolicy: each run gets
@@ -208,8 +210,8 @@ class TestEngineBatchPath:
         tasks = [
             make_task(cfg, workload, lineup["pid"], name="batched"),
             make_task(
-                cfg, workload, lineup["static-uniform"], name="profiled",
-                profile=True,
+                cfg, workload, lineup["static-uniform"], name="sensed",
+                sim_kwargs={"sensors": SensorSuite.exact()},
             ),
         ]
         serial = execute_cells(tasks, jobs=1)
@@ -218,14 +220,14 @@ class TestEngineBatchPath:
         for a, b in zip(serial, batched):
             assert_trace_equal(a, b, context="fallback mix")
         (fallback,) = events_of(rec, "cell_fallback")
-        assert fallback["reason"] == "profile"
+        assert fallback["reason"] == "sim_kwargs:sensors"
         assert fallback["cell"] == tasks[1].cell.label()
         (batched_event,) = events_of(rec, "cell_batched")
         assert batched_event["cell"] == tasks[0].cell.label()
         counters = summary_counters(rec)
         assert counters["engine.cells_batched"] == 1
         assert counters["engine.batch_groups"] == 1
-        assert counters["engine.fallback.profile"] == 1
+        assert counters["engine.fallback.sim_kwargs:sensors"] == 1
         assert counters["engine.cells_run"] == 2
 
     def test_watchdog_cells_batch_and_match_serial(self, cfg, workload, lineup):

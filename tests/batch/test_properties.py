@@ -2,7 +2,7 @@
 
 Two invariant families:
 
-* stack → step → unstack is the identity: a :class:`BatchChip` row is
+* stack → step → unstack is the identity: an :class:`EpochKernel` row is
   bit-identical to an independent serial :class:`ManyCoreChip` driven by
   the same level sequence, for every draw of budgets, seeds, fault
   campaigns and (possibly out-of-range) level commands.
@@ -20,8 +20,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import BatchChip
 from repro.faults import FaultCampaign
+from repro.kernel import EpochKernel
 from repro.manycore import default_system
 from repro.manycore.chip import ManyCoreChip
 from repro.parallel import (
@@ -95,7 +95,7 @@ class TestStackRoundTrip:
             else None
             for use, s in zip(faulted, seeds)
         ]
-        batch = BatchChip(cfgs, workloads, n_epochs, faults=campaigns)
+        batch = EpochKernel(cfgs, workloads, n_epochs, faults=campaigns)
         serial = [
             ManyCoreChip(cfg, wl, faults=campaign)
             for cfg, wl, campaign in zip(cfgs, workloads, campaigns)

@@ -1,10 +1,12 @@
 """Regression pin on the batch-compatibility gate.
 
 The kernel refactor made watchdog supervision, process variation,
-heterogeneous core maps, and ragged epoch counts batchable.  This module
+heterogeneous core maps, and ragged epoch counts batchable, and the one
+simulate loop made traced and profiled cells batchable.  This module
 pins that won: the standard-controller suite must produce **zero**
-serial fallbacks under every supported scenario, and the set of reasons
-that still legitimately force the serial path must not silently grow.
+serial fallbacks under every supported scenario, traced or profiled,
+and the set of reasons that still legitimately force the serial path
+must not silently grow.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ N_EPOCHS = 8
 #: Growing this set is an intentional API decision, not a side effect.
 ALLOWED_FALLBACK_REASONS = frozenset(
     {
-        "trace",
-        "profile",
         "faults-instance",
         "sim_kwargs:sensors",
         "sim_kwargs:memory_system",
@@ -68,18 +68,47 @@ SCENARIO_KWARGS = {
 }
 
 
-def _suite_tasks(sim_kwargs):
+#: Epoch counts of the ragged stack: one stack per controller, three rows.
+RAGGED_EPOCHS = (N_EPOCHS // 2, N_EPOCHS, N_EPOCHS - 2)
+
+#: Wall-clock event fields (and the recorder's sequence number), dropped
+#: before comparing a stacked cell's event stream with its serial one.
+WALL_CLOCK_FIELDS = ("seq", "decision_time", "phases", "timing")
+
+
+def _suite_tasks(sim_kwargs, epochs=(N_EPOCHS,), trace=False, profile=False):
     tasks = []
     for name, factory in sorted(standard_controllers(seed=0).items()):
-        cell = RunCell(
-            controller=name,
-            workload=WORKLOAD.name,
-            budget=None,
-            seed=0,
-            n_epochs=N_EPOCHS,
-        )
-        tasks.append(CellTask(cell, CFG, WORKLOAD, factory, dict(sim_kwargs)))
+        for n_epochs in epochs:
+            cell = RunCell(
+                controller=name,
+                workload=WORKLOAD.name,
+                budget=None,
+                seed=0,
+                n_epochs=n_epochs,
+            )
+            tasks.append(
+                CellTask(
+                    cell, CFG, WORKLOAD, factory, dict(sim_kwargs),
+                    trace=trace, profile=profile,
+                )
+            )
     return tasks
+
+
+def _run_streams(events):
+    """Each cell's run events (everything but engine lifecycle events),
+    keyed by the ``cell_done`` that closes them, wall-clock fields dropped."""
+    streams, current = {}, []
+    for event in events:
+        if event["type"] == "cell_done":
+            streams[event["cell"]] = current
+            current = []
+        elif not event["type"].startswith("cell_") and event["type"] != "engine_summary":
+            current.append(
+                {k: v for k, v in event.items() if k not in WALL_CLOCK_FIELDS}
+            )
+    return streams
 
 
 class TestFallbackRegression:
@@ -110,23 +139,39 @@ class TestFallbackRegression:
             )
         assert len(fallbacks) <= MAX_FALLBACKS, fallbacks
 
+    @pytest.mark.parametrize("observe", ["trace", "profile"])
+    @pytest.mark.parametrize("scenario", [*sorted(SCENARIO_KWARGS), "ragged"])
+    def test_observed_stacks_match_serial(self, scenario, observe):
+        epochs = RAGGED_EPOCHS if scenario == "ragged" else (N_EPOCHS,)
+        tasks = _suite_tasks(
+            SCENARIO_KWARGS.get(scenario, {}),
+            epochs=epochs,
+            trace=observe == "trace",
+            profile=observe == "profile",
+        )
+        serial_rec = BufferRecorder()
+        serial = execute_cells(tasks, jobs=1, recorder=serial_rec)
+        rec = BufferRecorder()
+        batched = execute_cells(tasks, jobs=1, batch=True, recorder=rec)
+        assert [e for e in rec.events if e["type"] == "cell_fallback"] == []
+        for task, a, b in zip(tasks, serial, batched):
+            assert_trace_equal(a, b, context=f"{scenario}[{task.cell.label()}]")
+            if observe == "profile":
+                assert "timing" in a.extras and "timing" in b.extras
+        serial_streams = _run_streams(serial_rec.events)
+        batched_streams = _run_streams(rec.events)
+        assert set(batched_streams) == {task.cell.label() for task in tasks}
+        for task in tasks:
+            label = task.cell.label()
+            assert batched_streams[label] == serial_streams[label], label
+            if observe == "trace":
+                run_end = batched_streams[label][-1]
+                assert run_end["type"] == "run_end"
+                assert run_end["n_epochs"] == task.cell.n_epochs
+
     def test_remaining_reasons_are_the_allowed_set(self, tmp_path):
         lineup = standard_controllers(seed=0)
         declining = [
-            CellTask(
-                RunCell(
-                    controller="trace", workload=WORKLOAD.name, budget=None,
-                    seed=0, n_epochs=N_EPOCHS,
-                ),
-                CFG, WORKLOAD, lineup["pid"], {}, trace=True,
-            ),
-            CellTask(
-                RunCell(
-                    controller="profile", workload=WORKLOAD.name, budget=None,
-                    seed=0, n_epochs=N_EPOCHS,
-                ),
-                CFG, WORKLOAD, lineup["pid"], {}, profile=True,
-            ),
             CellTask(
                 RunCell(
                     controller="sensors", workload=WORKLOAD.name, budget=None,
@@ -142,6 +187,24 @@ class TestFallbackRegression:
                 CFG, WORKLOAD, lineup["pid"], {"memory_system": object()},
             ),
         ]
+        batchable = [
+            CellTask(
+                RunCell(
+                    controller="trace", workload=WORKLOAD.name, budget=None,
+                    seed=0, n_epochs=N_EPOCHS,
+                ),
+                CFG, WORKLOAD, lineup["pid"], {}, trace=True,
+            ),
+            CellTask(
+                RunCell(
+                    controller="profile", workload=WORKLOAD.name, budget=None,
+                    seed=0, n_epochs=N_EPOCHS,
+                ),
+                CFG, WORKLOAD, lineup["pid"], {}, profile=True,
+            ),
+        ]
+        for task in batchable:
+            assert batch_unsupported_reason(task) is None
         for task in declining:
             reason = batch_unsupported_reason(task)
             assert reason is not None
