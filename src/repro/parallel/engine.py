@@ -3,7 +3,7 @@
 The engine takes an ordered list of :class:`CellTask`s (a
 :class:`~repro.parallel.cells.RunCell` plus everything needed to run it),
 executes them across ``jobs`` worker processes, and returns results in
-task order.  Four properties drive the design:
+task order.  Five properties drive the design:
 
 **Determinism.**  Workers are started with the ``spawn`` method, so a
 worker inherits no forked interpreter state — in particular no RNG state
@@ -45,37 +45,35 @@ cell recomputed.  With a :class:`~repro.parallel.journal.CampaignJournal`,
 every settlement is checkpointed so a killed campaign resumes completing
 only the missing cells, bit-identical to an uninterrupted run.
 
-``jobs=1`` without any resilience options executes inline — no pool, no
-pickling, exceptions propagate raw — which is what keeps the serial entry
-points byte-for-byte identical to their historical behaviour.  Passing
-``retry_policy``, ``chaos``, ``timeout`` or ``journal`` opts the inline
-path into the same classified-retry machinery as the pool path (worker
-crash and hang injection stay pool-only: the inline process cannot kill
-or preempt itself).
+**Units and placement.**  After the cache probe the pending cells are
+planned once into *units*, the engine's only unit of work.  With
+``batch`` on, each :func:`~repro.batch.plan_batches` group is a stacked
+unit (one :func:`~repro.batch.simulate_batch` call) and a cell the
+stacked backend declines is an unstacked unit; with ``batch`` off every
+cell is an unstacked unit (one ``run_controller`` call).  Stacked units
+always run in the calling process; unstacked units run in the spawn pool
+when ``jobs > 1`` and in the calling process otherwise.  Every unit goes
+through the same loop — retry classification and backoff, chaos
+injection, cache writes, a journal record per cell — on one of two
+executors: the pool, or an in-process executor that runs one unit at a
+time and settles it before the next starts.  A stack that raises is not
+retried as a stack; its members re-enter as unstacked units.  In the
+calling process only transient chaos faults fire (it cannot kill or
+preempt itself), and attempts catch ``Exception`` only, so Ctrl-C still
+stops a run.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 import traceback
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from pathlib import Path
-from typing import (
-    Any,
-    Deque,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.manycore.config import SystemConfig
 from repro.obs import NULL_RECORDER, BufferRecorder, CounterRegistry, Recorder
@@ -215,62 +213,155 @@ class ParallelExecutionError(RuntimeError):
         )
 
 
-def _run_cell(
-    task: CellTask, recorder: Optional[Recorder] = None
-) -> SimulationResult:
-    """Execute one cell (worker-side): build the controller, run the loop."""
-    # Imported here, not at module level: the simulator pulls in the full
-    # plant stack, and worker processes import this module on spawn.
-    from repro.sim.simulator import run_controller
+@dataclass
+class _Unit:
+    """One unit of work: a stack of cells, or one unstacked cell.
 
-    controller = task.factory(task.cfg)
-    return run_controller(
-        task.cfg,
-        task.workload,
-        controller,
-        task.cell.n_epochs,
-        recorder=recorder,
-        profile=task.profile,
-        **dict(task.sim_kwargs),
-    )
-
-
-def _run_cell_guarded(
-    task: CellTask,
-    chaos: Optional[ChaosPolicy] = None,
-    attempt: int = 1,
-) -> Tuple[str, Any]:
-    """Worker entry: exceptions come back as values, never as raised errors.
-
-    Returning ``("error", ...)`` instead of raising keeps ordinary cell
-    failures (bad config, contract violation) out of the pool's exception
-    machinery, so only hard process death ever breaks the pool.  The
-    ``"ok"`` payload is ``(result, events)`` — the run's buffered trace
-    events when ``task.trace`` is set, else ``None``.  The ``"error"``
-    payload carries the attempt's *partial* event buffer as its fourth
-    element, so a cell that fails permanently still leaves a trace
-    through its last completed epoch instead of losing the buffer with
-    the attempt.
-
-    ``chaos`` (when armed) injects its worker-side faults — crash, hang,
-    transient error — before the cell simulates, keyed deterministically
-    by the cell label and the 1-based ``attempt`` number the parent
-    passes, so injection decisions are identical across the spawn
-    boundary and across runs.
+    ``group`` is a stack's index in the batch plan and ``-1`` for an
+    unstacked cell.  The retry state (attempts, failure history, backoff
+    deadline, last partial trace) belongs to unstacked units only: a stack
+    is never retried as a stack.
     """
-    buffer = BufferRecorder() if task.trace else None
+
+    members: Tuple[int, ...]
+    group: int = -1
+    attempts: int = 0
+    not_before: float = 0.0
+    history: List[Tuple[str, str]] = field(default_factory=list)
+    error_events: Any = None
+
+    @property
+    def stacked(self) -> bool:
+        return self.group >= 0
+
+
+def _run_unit(
+    tasks: Sequence[CellTask],
+    stacked: bool,
+    chaos: Optional[ChaosPolicy],
+    attempt: int,
+    inline: bool,
+    record: bool,
+) -> Tuple[str, Any]:
+    """Run one unit; its outcome comes back as a value, never raised.
+
+    A stacked unit calls :func:`repro.batch.simulate_batch` (looked up at
+    call time, so the attribute can be swapped) and an unstacked one
+    builds its controller and calls
+    :func:`~repro.sim.simulator.run_controller` on a private deep copy of
+    ``sim_kwargs``: a stateful option such as a noisy ``SensorSuite``
+    starts every attempt from the caller's state, in this process exactly
+    as in a pool worker that unpickled its own copy.
+
+    ``"ok"`` carries one ``(result, events)`` pair per member, ``events``
+    being the member's buffered trace when it is traced and ``record`` is
+    set.  ``"error"`` carries ``(type, message, traceback, events)``, the
+    last being an unstacked cell's partial buffer, so a cell that fails
+    for good still leaves a trace through its last completed epoch.
+
+    ``chaos`` (when armed) fires before the cells simulate, keyed by each
+    cell's label and the 1-based ``attempt``: worker faults in a pool
+    worker, transient errors only ``inline``.  Inline attempts catch
+    ``Exception`` only, so Ctrl-C still stops the run; a worker ships
+    every failure home so that only process death breaks the pool.
+    """
+    buffers = [
+        BufferRecorder() if task.trace and record else None for task in tasks
+    ]
+    caught = Exception if inline else BaseException
     try:
         if chaos is not None:
-            chaos.at_cell_start(task.cell.label(), attempt)
-        result = _run_cell(task, recorder=buffer)
-        return "ok", (result, buffer.events if buffer is not None else None)
-    except BaseException as exc:  # shipped to the parent as a structured value
+            start = chaos.inline_cell_start if inline else chaos.at_cell_start
+            for task in tasks:
+                start(task.cell.label(), attempt)
+        if stacked:
+            # Imported here, not at module level: the simulator pulls in
+            # the full plant stack, and worker processes import this
+            # module on spawn.
+            import repro.batch
+
+            if any(buffer is not None for buffer in buffers):
+                results = repro.batch.simulate_batch(list(tasks), recorders=buffers)
+            else:
+                results = repro.batch.simulate_batch(list(tasks))
+        else:
+            from repro.sim.simulator import run_controller
+
+            (task,) = tasks
+            results = [
+                run_controller(
+                    task.cfg,
+                    task.workload,
+                    task.factory(task.cfg),
+                    task.cell.n_epochs,
+                    recorder=buffers[0],
+                    profile=task.profile,
+                    **copy.deepcopy(dict(task.sim_kwargs)),
+                )
+            ]
+    except caught as exc:
+        events = buffers[0].events if buffers[0] is not None else None
         return "error", (
             type(exc).__qualname__,
             str(exc),
             traceback.format_exc(),
-            buffer.events if buffer is not None and buffer.events else None,
+            events if events and not stacked else None,
         )
+    return "ok", [
+        (result, buffer.events if buffer is not None else None)
+        for result, buffer in zip(results, buffers)
+    ]
+
+
+class _InlineExecutor:
+    """The in-process executor: each submitted unit runs to completion
+    before :meth:`submit` returns, so at most one is ever in flight."""
+
+    def submit(self, fn: Any, *args: Any) -> "Future[Any]":
+        future: "Future[Any]" = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def _plan_units(
+    tasks: Sequence[CellTask],
+    pending: List[int],
+    batch: Union[bool, int],
+    rec: Recorder,
+    metrics: CounterRegistry,
+) -> List[_Unit]:
+    """Plan the cache-missed cells into units, in task order of each
+    unit's first cell.
+
+    With ``batch`` off every cell is an unstacked unit.  With it on, each
+    :func:`~repro.batch.plan_batches` group becomes a stacked unit, and a
+    cell the stacked backend declines becomes an unstacked unit with a
+    recorded ``cell_fallback`` reason.
+    """
+    if not batch:
+        return [_Unit((i,)) for i in pending]
+    # Imported here: repro.batch pulls in the full plant + controller
+    # stack, which the engine otherwise avoids loading.
+    from repro.batch import batch_unsupported_reason, plan_batches
+
+    units: List[_Unit] = []
+    batchable: List[int] = []
+    for i in pending:
+        reason = batch_unsupported_reason(tasks[i])
+        if reason is None:
+            batchable.append(i)
+            continue
+        units.append(_Unit((i,)))
+        metrics.inc(f"engine.fallback.{reason}")
+        if rec.enabled:
+            rec.emit("cell_fallback", cell=tasks[i].cell.label(), reason=reason)
+    if batchable:
+        max_batch = len(batchable) if batch is True else int(batch)
+        plan = plan_batches([tasks[i] for i in batchable], max_batch)
+        for group, members in enumerate(plan):
+            units.append(_Unit(tuple(batchable[j] for j in members), group=group))
+    units.sort(key=lambda unit: unit.members[0])
+    return units
 
 
 def _coerce_cache(cache: CacheLike) -> Optional[ResultCache]:
@@ -319,97 +410,9 @@ def _drain_quarantine(
     return cursor
 
 
-def _run_batched(
-    tasks: Sequence[CellTask],
-    pending: List[int],
-    keys: List[Optional[str]],
-    results: List[Optional[SimulationResult]],
-    store: Optional[ResultCache],
-    rec: Recorder,
-    metrics: CounterRegistry,
-    batch: Union[bool, int],
-) -> List[int]:
-    """Run the batch-compatible subset of ``pending`` through the stacked
-    backend; return the still-unsettled indices (fallbacks, batch errors)
-    in task order for the serial/pool path.
-
-    A group that raises is not fatal: every member is re-queued with the
-    ``"batch-error"`` fallback reason and recomputed by the serial path,
-    so a batching defect can cost time but never a result.
-    """
-    # Imported here, not at module level: repro.batch pulls in the full
-    # plant + controller stack, which the engine otherwise avoids loading
-    # (worker processes import this module on spawn).
-    from repro.batch import batch_unsupported_reason, plan_batches, simulate_batch
-
-    batchable: List[int] = []
-    leftovers: List[int] = []
-    for i in pending:
-        reason = batch_unsupported_reason(tasks[i])
-        if reason is None:
-            batchable.append(i)
-        else:
-            leftovers.append(i)
-            metrics.inc(f"engine.fallback.{reason}")
-            if rec.enabled:
-                rec.emit("cell_fallback", cell=tasks[i].cell.label(), reason=reason)
-    if not batchable:
-        return leftovers
-
-    max_batch = len(batchable) if batch is True else int(batch)
-    plan = plan_batches([tasks[i] for i in batchable], max_batch)
-    for group_index, group in enumerate(plan):
-        members = [batchable[j] for j in group]
-        # Traced members record into their own buffers, replayed below in
-        # task order exactly as pool workers' buffers are.
-        buffers = {
-            i: BufferRecorder() for i in members if tasks[i].trace and rec.enabled
-        }
-        try:
-            group_tasks = [tasks[i] for i in members]
-            if buffers:
-                group_results = simulate_batch(
-                    group_tasks, recorders=[buffers.get(i) for i in members]
-                )
-            else:
-                group_results = simulate_batch(group_tasks)
-        except Exception:
-            # Recorded and re-queued, never swallowed: every member is
-            # recomputed by the serial/pool path below.
-            metrics.inc("engine.batch_errors")
-            for i in members:
-                metrics.inc("engine.fallback.batch-error")
-                if rec.enabled:
-                    rec.emit(
-                        "cell_fallback",
-                        cell=tasks[i].cell.label(),
-                        reason="batch-error",
-                    )
-            leftovers.extend(members)
-            continue
-        metrics.inc("engine.batch_groups")
-        for i, result in zip(members, group_results):
-            results[i] = result
-            metrics.inc("engine.cells_run")
-            metrics.inc("engine.cells_batched")
-            if store is not None and keys[i] is not None:
-                store.put_safe(keys[i], result)
-            if rec.enabled:
-                if i in buffers:
-                    _replay_events(rec, buffers[i].events)
-                rec.emit(
-                    "cell_batched",
-                    cell=tasks[i].cell.label(),
-                    group=group_index,
-                    size=len(members),
-                )
-                rec.emit("cell_done", cell=tasks[i].cell.label(), attempts=1)
-    leftovers.sort()
-    return leftovers
-
 
 def _replay_events(rec: Recorder, events: Sequence[Mapping[str, Any]]) -> None:
-    """Re-emit a worker's buffered events into the parent recorder
+    """Re-emit a unit's buffered events into the parent recorder
     (sequence numbers are re-stamped by the parent's own counter)."""
     for event in events:
         payload = {k: v for k, v in event.items() if k not in ("type", "seq")}
@@ -435,9 +438,9 @@ def execute_cells(
     tasks:
         The cells to run; results come back in the same order.
     jobs:
-        Worker process count.  ``1`` executes inline in the calling
-        process (no pool; without resilience options, exceptions
-        propagate unchanged).
+        Worker process count.  ``1`` runs every cell in the calling
+        process (no pool, no pickling); stacks always run in the calling
+        process.
     cache:
         A :class:`ResultCache`, a directory path to open one at, or
         ``None`` to disable caching.  Hits skip execution entirely;
@@ -456,28 +459,28 @@ def execute_cells(
         (``cell_retry`` / ``cell_timeout`` / ``cell_abandoned``), cache
         integrity incidents (``cache_quarantine``), ``campaign_resume``
         when a journal resumes, and a closing ``engine_summary``; per-run
-        events from workers (for tasks with ``trace=True``) are shipped
-        back in buffers and replayed in task order, so the trace is
-        deterministic regardless of worker scheduling.
+        events (for tasks with ``trace=True``) are buffered per unit and
+        replayed in task order, so the trace is deterministic regardless
+        of worker scheduling.
     batch:
         Route cache-missed, batch-compatible cells through the stacked
-        tensor backend (:mod:`repro.batch`) before the serial/pool path.
+        tensor backend (:mod:`repro.batch`) as stacked units.
         ``True`` stacks each compatible group whole; an integer caps the
         runs per stack.  Mixed budgets, seeds, epoch counts, fault
         campaigns, variation/hetero maps, and watchdog supervision all
         stack, traced and profiled cells included.  Cells the backend
         declines (non-default ``sensors``/``memory_system`` — see
-        :func:`repro.batch.batch_unsupported_reason`) or that fail inside
-        a batch fall back to the serial/pool path with a recorded
-        ``cell_fallback`` reason; results are bit-identical either way.
-        Batch membership never enters :func:`~repro.parallel.cache.cell_key`.
+        :func:`repro.batch.batch_unsupported_reason`) or whose stack
+        fails run unstacked with a recorded ``cell_fallback`` reason;
+        results are bit-identical either way.  Batch membership never
+        enters :func:`~repro.parallel.cache.cell_key`.
     retry_policy:
         Full control of retry behaviour: transient/deterministic error
         classification, the identical-failure cutoff, and bounded
         exponential backoff with seeded jitter (see
         :class:`~repro.parallel.retry.RetryPolicy`).
     timeout:
-        Per-cell soft deadline in seconds (``jobs > 1`` only).  A cell
+        Per-cell soft deadline in seconds (pool cells only).  A cell
         still running past it is cancelled by the hung-worker watchdog —
         its workers are terminated, the straggler is charged an attempt
         (error type ``CellTimeout``, transient), and innocent in-flight
@@ -506,13 +509,7 @@ def execute_cells(
         list.  Use :func:`execute_cells_report` to receive partial
         results instead of an exception.
     """
-    resilient = (
-        retry_policy is not None
-        or timeout is not None
-        or chaos is not None
-        or journal is not None
-    )
-    report = _execute(
+    report = execute_cells_report(
         tasks,
         jobs=jobs,
         cache=cache,
@@ -523,7 +520,6 @@ def execute_cells(
         timeout=timeout,
         chaos=chaos,
         journal=journal,
-        raw_inline=(jobs == 1 and not resilient),
     )
     if report.failures:
         raise ParallelExecutionError(report.failures)
@@ -557,36 +553,6 @@ def execute_cells_report(
     results — and, with a journal, the failed cells stay pending for the
     next resume.
     """
-    return _execute(
-        tasks,
-        jobs=jobs,
-        cache=cache,
-        retries=retries,
-        recorder=recorder,
-        batch=batch,
-        retry_policy=retry_policy,
-        timeout=timeout,
-        chaos=chaos,
-        journal=journal,
-        raw_inline=False,
-    )
-
-
-def _execute(
-    tasks: Sequence[CellTask],
-    jobs: int,
-    cache: CacheLike,
-    retries: int,
-    recorder: Optional[Recorder],
-    batch: Union[bool, int],
-    retry_policy: Optional[RetryPolicy],
-    timeout: Optional[float],
-    chaos: Optional[ChaosPolicy],
-    journal: JournalLike,
-    raw_inline: bool,
-) -> ExecutionReport:
-    """Shared engine body behind :func:`execute_cells` /
-    :func:`execute_cells_report`."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if retries < 0:
@@ -674,112 +640,13 @@ def _execute(
                     continue
             pending.append(i)
 
-        if batch and pending:
-            before_batch = list(pending)
-            pending = _run_batched(
-                tasks, pending, keys, results, store, rec, metrics, batch
-            )
-            if jour is not None:
-                still = set(pending)
-                for i in before_batch:
-                    key = keys[i]
-                    if i not in still and key is not None and results[i] is not None:
-                        jour.record_done(i, key)
-
-        failures_of: Dict[int, CellFailure] = {}
-        success_attempts: Dict[int, int] = {}
-        event_buffers: Dict[int, Any] = {}
-        #: Deferred retry-stack events per cell, emitted at settle time in
-        #: task order so the trace stays deterministic when chaos is off.
-        notes: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
-
-        if jobs == 1:
-            if raw_inline:
-                # Historical serial path: stream traces straight into the
-                # recorder, propagate exceptions raw.
-                for i in pending:
-                    result = _run_cell(
-                        tasks[i], recorder=rec if tasks[i].trace else None
-                    )
-                    results[i] = result
-                    metrics.inc("engine.cells_run")
-                    key = keys[i]
-                    if store is not None and key is not None:
-                        store.put_safe(key, result)
-                    if rec.enabled:
-                        rec.emit(
-                            "cell_done", cell=tasks[i].cell.label(), attempts=1
-                        )
-                counters = _summary_counters(metrics, store, cache0)
-                if rec.enabled:
-                    rec.emit("engine_summary", counters=counters)
-                return ExecutionReport(
-                    results=tuple(results),
-                    failures=(),
-                    counters=counters,
-                )
-            _run_inline_resilient(
-                tasks,
-                pending,
-                keys,
-                results,
-                store,
-                jour,
-                rec,
-                metrics,
-                policy,
-                chaos,
-                failures_of,
-                success_attempts,
-                event_buffers,
-                notes,
-            )
-        else:
-            _run_pool(
-                tasks,
-                pending,
-                keys,
-                results,
-                store,
-                jour,
-                metrics,
-                policy,
-                timeout,
-                chaos,
-                jobs,
-                failures_of,
-                success_attempts,
-                event_buffers,
-                notes,
-            )
+        units = _plan_units(tasks, pending, batch, rec, metrics)
+        failures_of = _run_units(
+            units, tasks, keys, results, store, jour, rec, metrics, policy,
+            timeout, chaos, jobs,
+        )
         if store is not None:
             q_cursor = _drain_quarantine(rec, metrics, store, q_cursor)
-
-        if rec.enabled:
-            # Replay deferred notes, worker event buffers and settle-state
-            # events in task order: the trace's cell sequence is then a
-            # deterministic function of the task list, not of worker
-            # scheduling.
-            for i, task in enumerate(tasks):
-                for note_type, payload in notes.get(i, []):
-                    rec.emit(note_type, cell=task.cell.label(), **payload)
-                events = event_buffers.get(i)
-                if events:
-                    _replay_events(rec, events)
-                if i in success_attempts:
-                    rec.emit(
-                        "cell_done",
-                        cell=task.cell.label(),
-                        attempts=success_attempts[i],
-                    )
-                elif i in failures_of:
-                    failure = failures_of[i]
-                    rec.emit(
-                        "cell_failed",
-                        cell=task.cell.label(),
-                        attempts=failure.attempts,
-                        error_type=failure.error_type,
-                    )
         counters = _summary_counters(metrics, store, cache0)
         if rec.enabled:
             rec.emit("engine_summary", counters=counters)
@@ -863,9 +730,20 @@ def _note_retry(
     )
 
 
-def _run_inline_resilient(
+
+#: Error records of a pool worker that died: the unit's own process, or a
+#: sibling's death taking down the unit while queued or in flight.
+_WORKER_DIED = ("WorkerCrash", "worker process died before returning a result", "")
+_POOL_BROKE = (
+    "WorkerCrash",
+    "worker pool broke while the cell was queued/in flight",
+    "",
+)
+
+
+def _run_units(
+    units: List[_Unit],
     tasks: Sequence[CellTask],
-    pending: List[int],
     keys: List[Optional[str]],
     results: List[Optional[SimulationResult]],
     store: Optional[ResultCache],
@@ -873,319 +751,256 @@ def _run_inline_resilient(
     rec: Recorder,
     metrics: CounterRegistry,
     policy: RetryPolicy,
-    chaos: Optional[ChaosPolicy],
-    failures_of: Dict[int, CellFailure],
-    success_attempts: Dict[int, int],
-    event_buffers: Dict[int, Any],
-    notes: Dict[int, List[Tuple[str, Dict[str, Any]]]],
-) -> None:
-    """``jobs=1`` with the classified-retry machinery, scheduled by
-    deadline: cells run in task order, but a cell owing backoff is
-    *deferred* (per-cell ``not_before`` timestamp) while later ready
-    cells execute, so a flaky cell never stalls the rest of the grid —
-    the process only sleeps when every pending cell is backing off.
-
-    Traced runs buffer per attempt; a successful attempt replaces any
-    earlier partial buffer, so a retried cell never double-emits its
-    epochs, while a permanently failed cell keeps its last attempt's
-    partial trace through the final completed epoch."""
-    queue: Deque[int] = deque(pending)
-    not_before: Dict[int, float] = {i: 0.0 for i in pending}
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    history: Dict[int, List[Tuple[str, str]]] = {i: [] for i in pending}
-    while queue:
-        now = time.monotonic()
-        pos = next((p for p, j in enumerate(queue) if not_before[j] <= now), None)
-        if pos is None:
-            # Every pending cell is backing off; sleep to the nearest
-            # deadline instead of spinning.
-            time.sleep(max(0.0, min(not_before[j] for j in queue) - now))
-            continue
-        i = queue[pos]
-        del queue[pos]
-        task = tasks[i]
-        label = task.cell.label()
-        attempts[i] += 1
-        attempt = attempts[i]
-        buffer = BufferRecorder() if task.trace and rec.enabled else None
-        try:
-            if chaos is not None:
-                chaos.inline_cell_start(label, attempt)
-            result = _run_cell(task, recorder=buffer)
-        except Exception as exc:
-            error = (type(exc).__qualname__, str(exc), traceback.format_exc())
-            history[i].append((error[0], error[1]))
-            if buffer is not None and buffer.events:
-                # Partial trace of the failed attempt; a later successful
-                # attempt overwrites it below.
-                event_buffers[i] = buffer.events
-            if policy.should_retry(attempt, history[i]):
-                _note_retry(task, attempt, error, policy, metrics, notes, i)
-                not_before[i] = time.monotonic() + policy.delay_before(
-                    attempt + 1, label
-                )
-                queue.append(i)
-                continue
-            failures_of[i] = _settle_failure(
-                task, attempt, error, policy, metrics, notes, i
-            )
-            key = keys[i]
-            if jour is not None and key is not None:
-                jour.record_failed(i, key, error[0], attempt)
-            continue
-        results[i] = result
-        success_attempts[i] = attempt
-        metrics.inc("engine.cells_run")
-        if buffer is not None:
-            if buffer.events:
-                event_buffers[i] = buffer.events
-            else:
-                event_buffers.pop(i, None)
-        key = keys[i]
-        if store is not None and key is not None:
-            store.put_safe(key, result)
-        if jour is not None and key is not None:
-            jour.record_done(i, key)
-
-
-def _run_pool(
-    tasks: Sequence[CellTask],
-    pending: List[int],
-    keys: List[Optional[str]],
-    results: List[Optional[SimulationResult]],
-    store: Optional[ResultCache],
-    jour: Optional[CampaignJournal],
-    metrics: CounterRegistry,
-    policy: RetryPolicy,
     timeout: Optional[float],
     chaos: Optional[ChaosPolicy],
     jobs: int,
-    failures_of: Dict[int, CellFailure],
-    success_attempts: Dict[int, int],
-    event_buffers: Dict[int, Any],
-    notes: Dict[int, List[Tuple[str, Dict[str, Any]]]],
-) -> None:
-    """The pool rounds loop: submit, watch, classify, retry or settle.
+) -> Dict[int, CellFailure]:
+    """The engine's one loop: dispatch units, watch them, classify each
+    failure, back off, retry or settle.  Returns the failures by task
+    index; results land in ``results``.
 
-    Backoff never blocks dispatch: a retried cell carries a per-cell
-    ``not_before`` deadline and is *deferred* — ready cells are submitted
-    immediately, deferred cells are promoted into the live pool as their
-    deadlines pass, and the hung-worker watchdog keeps ticking
-    throughout.  A cell in backoff therefore never stalls unrelated work
-    (the backoff-stall bug: the old one-``time.sleep``-per-round design
-    held every ready cell and the watchdog hostage to the longest delay
-    owed by any retried member).
+    Stacked units — and every unit when ``jobs == 1`` — run on the
+    in-process executor, one at a time, each settled (cache put, journal
+    record) before the next starts.  Unstacked units go to a spawn pool
+    when ``jobs > 1``; the pool is built only once one needs it, and
+    rebuilt after a crash or a watchdog kill (one *round* per pool).
+
+    Backoff never blocks dispatch: a retried unit carries a
+    ``not_before`` deadline and steps aside while ready units run, and the
+    loop sleeps only when every waiting unit is backing off, so one flaky
+    cell never stalls ready cells or the watchdog.
+
+    A stack is never retried as a stack: when its attempt raises, each
+    member re-enters as an unstacked unit with its attempt budget
+    untouched (``cell_fallback`` reason ``"batch-error"``), so a batching
+    defect can cost time but never a result.
+
+    Deferred events — retry-stack notes, buffered traces, settle events —
+    are replayed in task order as soon as every earlier cell has settled,
+    so the trace is a deterministic function of the task list.
     """
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    history: Dict[int, List[Tuple[str, str]]] = {i: [] for i in pending}
-    last_error: Dict[int, Tuple[str, str, str]] = {}
-    #: Last failed attempt's partial event buffer per cell (pool workers
-    #: ship it with the error payload); replayed only on permanent failure.
-    error_events: Dict[int, Any] = {}
-    not_before: Dict[int, float] = {i: 0.0 for i in pending}
-    to_run = list(pending)
-    while to_run:
-        retry_round: List[int] = []
-        requeue_free: List[int] = []
-        deferred: List[int] = []
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(to_run)), mp_context=get_context("spawn")
-        ) as pool:
-            now = time.monotonic()
-            ready = [i for i in to_run if not_before[i] <= now]
-            deferred = [i for i in to_run if not_before[i] > now]
-            future_of = {
-                pool.submit(_run_cell_guarded, tasks[i], chaos, attempts[i] + 1): i
-                for i in ready
-            }
-            not_done = set(future_of)
-            running_since: Dict[Any, float] = {}
-            broken = False
-            watchdog_broke = False
-            while (not_done or deferred) and not broken:
-                if not not_done:
-                    # Only deferred cells remain: sleep to the nearest
-                    # backoff deadline, then promote below.
-                    wake_in = (
-                        min(not_before[i] for i in deferred) - time.monotonic()
-                    )
-                    if wake_in > 0:
-                        time.sleep(wake_in)
-                    done: Set[Any] = set()
-                else:
-                    # Poll when a watchdog deadline or a deferral is
-                    # armed; a plain blocking wait otherwise, so neither
-                    # costs anything when unused.
-                    ticks: List[float] = []
-                    if timeout is not None:
-                        ticks.append(max(0.01, min(0.05, timeout / 5.0)))
-                    if deferred:
-                        wake_in = (
-                            min(not_before[i] for i in deferred)
-                            - time.monotonic()
+    failures_of: Dict[int, CellFailure] = {}
+    success_attempts: Dict[int, int] = {}
+    event_buffers: Dict[int, Any] = {}
+    notes: Dict[int, List[Tuple[str, Dict[str, Any]]]] = {}
+    batched: Dict[int, Tuple[int, int]] = {}
+    order = sorted(i for unit in units for i in unit.members)
+    replayed = 0
+
+    def replay_settled() -> None:
+        nonlocal replayed
+        while replayed < len(order) and (
+            order[replayed] in success_attempts or order[replayed] in failures_of
+        ):
+            i = order[replayed]
+            replayed += 1
+            label = tasks[i].cell.label()
+            for note_type, payload in notes.pop(i, []):
+                rec.emit(note_type, cell=label, **payload)
+            events = event_buffers.pop(i, None)
+            if events:
+                _replay_events(rec, events)
+            if i in failures_of:
+                failure = failures_of[i]
+                rec.emit(
+                    "cell_failed",
+                    cell=label,
+                    attempts=failure.attempts,
+                    error_type=failure.error_type,
+                )
+            else:
+                if i in batched:
+                    group, size = batched[i]
+                    rec.emit("cell_batched", cell=label, group=group, size=size)
+                rec.emit("cell_done", cell=label, attempts=success_attempts[i])
+
+    def succeed(u: int, outcomes: Sequence[Tuple[SimulationResult, Any]]) -> None:
+        unit = units[u]
+        for i, (result, events) in zip(unit.members, outcomes):
+            results[i] = result
+            success_attempts[i] = unit.attempts + 1
+            if events:
+                event_buffers[i] = events
+            metrics.inc("engine.cells_run")
+            if unit.stacked:
+                metrics.inc("engine.cells_batched")
+                batched[i] = (unit.group, len(unit.members))
+            key = keys[i]
+            if store is not None and key is not None:
+                store.put_safe(key, result)
+            if jour is not None and key is not None:
+                jour.record_done(i, key)
+        if unit.stacked:
+            metrics.inc("engine.batch_groups")
+
+    def fail(u: int, error: Tuple[str, str, str], events: Any) -> None:
+        unit = units[u]
+        if unit.stacked:
+            metrics.inc("engine.batch_errors")
+            for i in unit.members:
+                metrics.inc("engine.fallback.batch-error")
+                notes.setdefault(i, []).append(
+                    ("cell_fallback", {"reason": "batch-error"})
+                )
+                units.append(_Unit((i,)))
+                queue.append(len(units) - 1)
+            return
+        i = unit.members[0]
+        unit.attempts += 1
+        unit.history.append((error[0], error[1]))
+        if events:
+            unit.error_events = events
+        if policy.should_retry(unit.attempts, unit.history):
+            _note_retry(tasks[i], unit.attempts, error, policy, metrics, notes, i)
+            unit.not_before = time.monotonic() + policy.delay_before(
+                unit.attempts + 1, tasks[i].cell.label()
+            )
+            queue.append(u)
+            return
+        if unit.error_events:
+            # Permanent failure: replay the last attempt's partial trace
+            # through its final completed epoch.
+            event_buffers[i] = unit.error_events
+        failures_of[i] = _settle_failure(
+            tasks[i], unit.attempts, error, policy, metrics, notes, i
+        )
+        key = keys[i]
+        if jour is not None and key is not None:
+            jour.record_failed(i, key, error[0], unit.attempts)
+
+    def pooled(u: int) -> bool:
+        return jobs > 1 and not units[u].stacked
+
+    inline = _InlineExecutor()
+    queue = list(range(len(units)))
+    while queue:
+        pool: Optional[ProcessPoolExecutor] = None
+        in_flight: Dict["Future[Any]", int] = {}
+        running_since: Dict["Future[Any]", float] = {}
+        broken = watchdog_broke = False
+        try:
+            while (queue or in_flight) and not broken:
+                now = time.monotonic()
+                ripe = [u for u in queue if units[u].not_before <= now]
+                # Pool units first, so workers compute while a stack runs
+                # in this process; then at most one in-process unit.
+                dispatch = [u for u in ripe if pooled(u)]
+                dispatch += [u for u in ripe if not pooled(u)][:1]
+                for u in dispatch:
+                    executor: Any = inline
+                    if pooled(u):
+                        if pool is None:
+                            # Spawn-context workers start on demand, so a
+                            # pool never outnumbers the units it runs.
+                            pool = ProcessPoolExecutor(
+                                max_workers=jobs, mp_context=get_context("spawn")
+                            )
+                        executor = pool
+                    unit = units[u]
+                    try:
+                        fut = executor.submit(
+                            _run_unit,
+                            [tasks[i] for i in unit.members],
+                            unit.stacked,
+                            chaos,
+                            unit.attempts + 1,
+                            executor is inline,
+                            rec.enabled,
                         )
-                        ticks.append(max(0.01, wake_in))
-                    tick = min(ticks) if ticks else None
-                    done, not_done = wait(
-                        not_done, timeout=tick, return_when=FIRST_COMPLETED
-                    )
-                for fut in done:
-                    i = future_of[fut]
+                    except BrokenProcessPool:
+                        # The pool died under us: undispatched units keep
+                        # their deadlines for the next round.
+                        broken = True
+                        break
+                    queue.remove(u)
+                    in_flight[fut] = u
+                if broken:
+                    break
+                if not in_flight:
+                    # Every waiting unit is backing off: sleep to the
+                    # nearest deadline instead of spinning.
+                    wake = min(units[u].not_before for u in queue)
+                    time.sleep(max(0.0, wake - time.monotonic()))
+                    continue
+                # Poll when a watchdog deadline or a backoff is armed; a
+                # plain blocking wait otherwise.
+                ticks: List[float] = []
+                if timeout is not None:
+                    ticks.append(max(0.01, min(0.05, timeout / 5.0)))
+                if queue:
+                    wake = min(units[u].not_before for u in queue)
+                    ticks.append(max(0.01, wake - time.monotonic()))
+                done, _ = wait(
+                    list(in_flight),
+                    timeout=min(ticks) if ticks else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                for fut in sorted(done, key=lambda f: units[in_flight[f]].members):
+                    u = in_flight.pop(fut)
                     try:
                         status, payload = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        attempts[i] += 1
-                        last_error[i] = (
-                            "WorkerCrash",
-                            "worker process died before returning a result",
-                            "",
-                        )
-                        history[i].append((last_error[i][0], last_error[i][1]))
-                        retry_round.append(i)
+                        fail(u, _WORKER_DIED, None)
                         continue
                     except Exception as exc:
                         # Submission-side errors (e.g. an unpicklable lambda
                         # factory) surface here rather than in the worker;
                         # they consume an attempt like any other failure.
-                        attempts[i] += 1
-                        last_error[i] = (
-                            type(exc).__qualname__,
-                            str(exc),
-                            traceback.format_exc(),
-                        )
-                        history[i].append((last_error[i][0], last_error[i][1]))
-                        retry_round.append(i)
+                        error = (type(exc).__qualname__, str(exc), traceback.format_exc())
+                        fail(u, error, None)
                         continue
                     if status == "ok":
-                        result, events = payload
-                        results[i] = result
-                        success_attempts[i] = attempts.pop(i, 0) + 1
-                        if events:
-                            event_buffers[i] = events
-                        error_events.pop(i, None)
-                        metrics.inc("engine.cells_run")
-                        key = keys[i]
-                        if store is not None and key is not None:
-                            store.put_safe(key, result)
-                        if jour is not None and key is not None:
-                            jour.record_done(i, key)
+                        succeed(u, payload)
                     else:
-                        attempts[i] += 1
-                        last_error[i] = (payload[0], payload[1], payload[2])
-                        if len(payload) > 3 and payload[3]:
-                            error_events[i] = payload[3]
-                        history[i].append((payload[0], payload[1]))
-                        retry_round.append(i)
-                # Promote deferred cells whose backoff deadlines passed
-                # into the live pool.
-                if deferred and not broken:
-                    now = time.monotonic()
-                    ripe = [i for i in deferred if not_before[i] <= now]
-                    if ripe:
-                        deferred = [i for i in deferred if not_before[i] > now]
-                        for pos, i in enumerate(ripe):
-                            try:
-                                fut = pool.submit(
-                                    _run_cell_guarded,
-                                    tasks[i],
-                                    chaos,
-                                    attempts[i] + 1,
-                                )
-                            except BrokenProcessPool:
-                                # The pool died under us: unpromoted cells
-                                # keep their deadlines for the next round.
-                                broken = True
-                                deferred.extend(ripe[pos:])
-                                break
-                            future_of[fut] = i
-                            not_done.add(fut)
-                if broken or timeout is None or not not_done:
+                        fail(u, payload[:3], payload[3])
+                if rec.enabled:
+                    replay_settled()
+                if broken or timeout is None or not in_flight:
                     continue
                 # Soft-deadline watchdog: charge stragglers, kill the pool,
-                # and let the broken-pool path re-queue the innocents for
-                # free (their budgets are untouched).
+                # and re-queue the innocents for free (their budgets are
+                # untouched).  Only pool units are ever left in flight.
                 now = time.monotonic()
-                for fut in not_done:
+                for fut in in_flight:
                     if fut.running() and fut not in running_since:
                         running_since[fut] = now
                 expired = [
                     fut
-                    for fut in not_done
-                    if fut in running_since
-                    and now - running_since[fut] >= timeout
+                    for fut in in_flight
+                    if fut in running_since and now - running_since[fut] >= timeout
                 ]
-                if expired:
-                    broken = True
-                    watchdog_broke = True
+                if expired and pool is not None:
+                    broken = watchdog_broke = True
                     for fut in expired:
-                        i = future_of[fut]
-                        attempts[i] += 1
-                        last_error[i] = (
-                            "CellTimeout",
-                            f"cell exceeded its soft deadline of {timeout}s",
-                            "",
-                        )
-                        history[i].append((last_error[i][0], last_error[i][1]))
+                        u = in_flight.pop(fut)
                         metrics.inc("engine.timeouts")
-                        notes.setdefault(i, []).append(
+                        notes.setdefault(units[u].members[0], []).append(
                             (
                                 "cell_timeout",
-                                {"attempt": attempts[i], "deadline": timeout},
+                                {"attempt": units[u].attempts + 1, "deadline": timeout},
                             )
                         )
-                        retry_round.append(i)
-                    not_done -= set(expired)
+                        deadline = f"cell exceeded its soft deadline of {timeout}s"
+                        fail(u, ("CellTimeout", deadline, ""), None)
                     _terminate_pool_processes(pool)
-            if broken:
-                for fut in not_done:
-                    i = future_of[fut]
-                    fut.cancel()
-                    if watchdog_broke:
-                        # Innocent bystanders of a watchdog kill: re-queued
-                        # with their attempt budgets untouched.
-                        metrics.inc("engine.requeued")
-                        requeue_free.append(i)
-                    else:
-                        # Casualties of a genuine crash: one attempt each,
-                        # then resubmit to a fresh pool.
-                        attempts[i] += 1
-                        last_error[i] = (
-                            "WorkerCrash",
-                            "worker pool broke while the cell was queued/in flight",
-                            "",
-                        )
-                        history[i].append((last_error[i][0], last_error[i][1]))
-                        retry_round.append(i)
-
-        to_run = []
-        for i in retry_round:
-            if policy.should_retry(attempts[i], history[i]):
-                to_run.append(i)
-                _note_retry(
-                    tasks[i], attempts[i], last_error[i], policy, metrics, notes, i
-                )
-                not_before[i] = time.monotonic() + policy.delay_before(
-                    attempts[i] + 1, tasks[i].cell.label()
-                )
-            else:
-                if error_events.get(i):
-                    # Permanent failure: replay the last attempt's partial
-                    # trace through its final completed epoch.
-                    event_buffers[i] = error_events[i]
-                failures_of[i] = _settle_failure(
-                    tasks[i], attempts[i], last_error[i], policy, metrics, notes, i
-                )
-                key = keys[i]
-                if jour is not None and key is not None:
-                    jour.record_failed(i, key, last_error[i][0], attempts[i])
-        for i in requeue_free:
-            # Watchdog innocents re-enter immediately: the requeue is not
-            # a retry and owes no backoff.
-            not_before[i] = 0.0
-        to_run.extend(requeue_free)
-        to_run.extend(deferred)
-        to_run.sort()
+            for fut, u in in_flight.items():
+                fut.cancel()
+                if watchdog_broke:
+                    # Innocent bystanders of a watchdog kill: re-queued
+                    # with their attempt budgets untouched.
+                    metrics.inc("engine.requeued")
+                    queue.append(u)
+                else:
+                    # Casualties of a genuine crash: one attempt each,
+                    # then resubmit to a fresh pool.
+                    fail(u, _POOL_BROKE, None)
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        if rec.enabled:
+            replay_settled()
+    return failures_of
 
 
 def _summary_counters(

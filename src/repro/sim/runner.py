@@ -314,11 +314,15 @@ def run_suite(
     Parameters
     ----------
     jobs:
-        Worker process count.  The default ``1`` runs every cell inline
-        in this process (exceptions propagate unchanged); ``jobs > 1``
-        shards the controller ×
-        workload grid across spawned workers (factories must then be
-        picklable — the standard lineup is).
+        Worker process count.  The default ``1`` runs every cell in this
+        process; ``jobs > 1`` shards the controller × workload grid's
+        unstacked cells across spawned workers (factories must then be
+        picklable — the standard lineup is).  Stacked cells (``batch``)
+        always run in this process.  Either way every cell goes through
+        the engine's one retry loop, so a failing cell raises
+        :class:`~repro.parallel.ParallelExecutionError` (carrying the
+        error's type, message and traceback text) after its attempts
+        are spent — one attempt for a deterministic error.
     cache:
         Optional result cache: a directory path or a
         :class:`repro.parallel.ResultCache`.  Cells whose content-addressed
@@ -348,7 +352,7 @@ def run_suite(
         ``sensors``/``memory_system``) fall back per cell with a recorded
         reason.  Composes with ``cache=``
         (batching never changes a cell's cache key) and with ``jobs=``
-        for the fallback cells.
+        for the unstacked cells.
     retry_policy, timeout, chaos, journal:
         Resilience switches, forwarded verbatim to
         :func:`~repro.parallel.engine.execute_cells` — a
@@ -356,9 +360,8 @@ def run_suite(
         seconds, a :class:`~repro.parallel.ChaosPolicy` for fault-drill
         runs, and a campaign journal path (or
         :class:`~repro.parallel.CampaignJournal`) enabling
-        checkpoint/resume.  Any of them being set routes even ``jobs=1``
-        grids through the resilient engine (results stay bit-identical;
-        see ``docs/parallel.md``).
+        checkpoint/resume (results stay bit-identical; see
+        ``docs/parallel.md``).
 
     Returns
     -------

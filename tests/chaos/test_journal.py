@@ -172,3 +172,48 @@ class TestEngineIntegration:
         assert report.ok
         assert report.counters["engine.cells_run"] == 3  # recomputed
         assert report.resumed == 3  # journal said done, cache disagreed
+
+    def test_stacked_cells_are_journaled_as_they_settle(
+        self, tmp_path, monkeypatch
+    ):
+        # Two stacks of two; the second stack is interrupted (Ctrl-C).  The
+        # first stack's cells must already be checkpointed, so the resume
+        # counts every cell the cache serves as resumed.
+        import repro.batch
+
+        tasks = small_grid(4)
+        keys = grid_keys(tasks)
+        cache = ResultCache(tmp_path / "cache")
+        path = tmp_path / "campaign.jsonl"
+        real = repro.batch.simulate_batch
+        calls = []
+
+        def interrupt_second_stack(group):
+            calls.append(len(group))
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(group)
+
+        monkeypatch.setattr("repro.batch.simulate_batch", interrupt_second_stack)
+        with pytest.raises(KeyboardInterrupt):
+            execute_cells(tasks, jobs=1, cache=cache, journal=path, batch=2)
+        assert calls == [2, 2]
+        records = [json.loads(l) for l in path.read_text().splitlines()]
+        done = {r["key"] for r in records if r["kind"] == "cell_done"}
+        assert done == set(keys[:2])
+        assert len(cache) == 2
+
+        monkeypatch.setattr("repro.batch.simulate_batch", real)
+        rec = BufferRecorder()
+        report = execute_cells_report(
+            tasks, jobs=1, cache=cache, journal=path, batch=2, recorder=rec,
+        )
+        assert report.ok
+        assert report.counters["cache.hits"] == 2
+        assert report.resumed == report.counters["cache.hits"]
+        resume_events = [e for e in rec.events if e["type"] == "campaign_resume"]
+        assert len(resume_events) == 1
+        assert resume_events[0]["completed"] == 2
+        clean = execute_cells(tasks, jobs=1)
+        for got, want in zip(report.completed(), clean):
+            assert_trace_equal(got, want)

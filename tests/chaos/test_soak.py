@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from repro.obs import BufferRecorder
 from repro.parallel import (
     ChaosPolicy,
@@ -40,7 +42,11 @@ RETRY = RetryPolicy(retries=5, base_delay=0.0, max_delay=0.0, jitter=0.0)
 
 
 class TestSoak:
-    def test_storm_terminates_and_results_are_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_storm_terminates_and_results_are_bit_identical(self, tmp_path, batch):
+        # With batch=True the stacks run in the parent under the inline
+        # transient faults; the cells of a failed stack, like every
+        # unstacked cell, run in the pool under worker faults.
         tasks = small_grid(6)
         golden = execute_cells(tasks, jobs=1)
 
@@ -49,7 +55,7 @@ class TestSoak:
         rec = BufferRecorder()
         report = execute_cells_report(
             tasks, jobs=2, cache=cache, chaos=chaos, retry_policy=RETRY,
-            recorder=rec,
+            recorder=rec, batch=batch,
         )
         # With max_attempt=2 < the retry budget, every cell eventually gets
         # a clean attempt: the storm may not cost a single result.
@@ -64,6 +70,9 @@ class TestSoak:
         # The storm must actually have bitten (otherwise this test proves
         # nothing) — cache faults are parent-side, so counts are visible.
         assert chaos.cache_injections() > 0
+        if batch:
+            stacks = report.counters.get("engine.batch_groups", 0)
+            assert stacks + report.counters.get("engine.batch_errors", 0) > 0
 
     def test_storm_is_reproducible(self, tmp_path):
         # Same seed, same grid: the parent-side injection schedule repeats

@@ -71,14 +71,19 @@ def epochs_after_last_run_start(records):
 
 
 class TestCrashLeavesValidTrace:
-    def test_serial_raw_path(self, cfg, workloads, tmp_path):
+    @pytest.mark.parametrize(
+        "retry_policy",
+        [None, RetryPolicy(retries=1, base_delay=0.0)],
+        ids=["default-policy", "explicit-policy"],
+    )
+    def test_inline_path(self, cfg, workloads, tmp_path, retry_policy):
         path = tmp_path / "trace.jsonl"
         recorder = JsonlRecorder(str(path))
         try:
-            with pytest.raises(ValueError, match="deliberate mid-run crash"):
+            with pytest.raises(ParallelExecutionError):
                 run_suite(
                     cfg, workloads, controllers(), N_EPOCHS,
-                    jobs=1, recorder=recorder,
+                    jobs=1, recorder=recorder, retry_policy=retry_policy,
                 )
         finally:
             recorder.close()
@@ -87,31 +92,13 @@ class TestCrashLeavesValidTrace:
         # The good cell completed entirely...
         assert types.count("run_end") == 1
         assert types.count("cell_done") == 1
-        # ...and the crashing cell's trace reaches exactly the epochs
-        # that completed before the raise — buffered tail included.
-        assert types.count("run_start") == 2
-        assert epochs_after_last_run_start(records) == list(range(FAIL_AFTER))
-
-    def test_inline_resilient_path(self, cfg, workloads, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        recorder = JsonlRecorder(str(path))
-        try:
-            with pytest.raises(ParallelExecutionError):
-                run_suite(
-                    cfg, workloads, controllers(), N_EPOCHS,
-                    jobs=1, recorder=recorder,
-                    retry_policy=RetryPolicy(retries=1, base_delay=0.0),
-                )
-        finally:
-            recorder.close()
-        records = read_trace(path)
-        types = [r["type"] for r in records]
-        assert types.count("cell_done") == 1
-        # Permanent failure is recorded as such, with the partial epochs
-        # preserved ahead of it.
+        # ...the permanent failure is recorded as such...
         failed = [r for r in records if r["type"] == "cell_failed"]
         assert len(failed) == 1
         assert failed[0]["error_type"] == "ValueError"
+        # ...and the crashing cell's trace reaches exactly the epochs
+        # that completed before the raise — buffered tail included.
+        assert types.count("run_start") == 2
         assert epochs_after_last_run_start(records) == list(range(FAIL_AFTER))
 
     def test_worker_pool_path(self, cfg, workloads, tmp_path):

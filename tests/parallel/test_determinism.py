@@ -10,10 +10,11 @@ workers and the cache), and the budget sweep.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.faults import FaultCampaign
-from repro.manycore import default_system
+from repro.manycore import SensorSpec, SensorSuite, default_system
 from repro.parallel import ResultCache, assert_trace_equal
 from repro.sim import run_budget_sweep, run_suite, standard_controllers
 from repro.workloads import make_benchmark, mixed_workload
@@ -187,3 +188,37 @@ class TestSweepMatrix:
                     warm[ctrl][budget],
                     context=f"sweep warm cache[{ctrl}][{budget}]",
                 )
+
+
+class TestStatefulSimKwargs:
+    """A stateful option shared by a grid's cells must not leak state.
+
+    Pool workers each unpickle a private copy of a task; inline cells
+    used to share the caller's object, so a noisy ``SensorSuite`` carried
+    its RNG from one cell to the next and a cell's result depended on its
+    neighbours.  Every cell now starts from the caller's state.
+    """
+
+    def test_noisy_sensor_suite_does_not_carry_across_cells(self, cfg, chosen):
+        def noisy_sensors():
+            return SensorSuite(
+                np.random.default_rng(5),
+                power_spec=SensorSpec(relative_noise=0.2),
+            )
+
+        lineup = {"od-rl": chosen["od-rl"]}
+        workloads = {
+            name: make_benchmark(name, N_CORES, seed=SEED)
+            for name in ("barnes", "ocean")
+        }
+        grid = run_suite(
+            cfg, workloads, lineup, 60, sim_kwargs={"sensors": noisy_sensors()}
+        )
+        alone = run_suite(
+            cfg, {"ocean": workloads["ocean"]}, lineup, 60,
+            sim_kwargs={"sensors": noisy_sensors()},
+        )
+        assert_trace_equal(
+            grid["od-rl"]["ocean"], alone["od-rl"]["ocean"],
+            context="ocean in a grid vs alone",
+        )

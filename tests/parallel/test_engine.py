@@ -53,9 +53,18 @@ class TestInlineExecution:
         assert result.n_epochs == N_EPOCHS
 
     def test_jobs_one_propagates_raw_exception(self, cfg, workload):
+        # jobs=1 runs through the same retry loop as the pool: a cell
+        # error comes back as a structured failure, not a raw exception,
+        # and a deterministic one fails after a single attempt.
         task = make_task(cfg, workload, helpers.always_raise)
-        with pytest.raises(ValueError, match="deliberate factory failure"):
+        with pytest.raises(ParallelExecutionError) as excinfo:
             execute_cells([task], jobs=1)
+        (failure,) = excinfo.value.failures
+        assert failure.error_type == "ValueError"
+        assert failure.classification == "deterministic"
+        assert failure.attempts == 1
+        assert failure.message == "deliberate factory failure"
+        assert "deliberate factory failure" in failure.traceback_text
 
     def test_rejects_invalid_jobs(self, cfg, workload):
         task = make_task(cfg, workload, helpers.build_static)

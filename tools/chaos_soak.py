@@ -17,7 +17,9 @@ tests don't reach (see ``docs/robustness.md``)::
 3. **Kill-and-resume** — a child process runs the campaign with a
    journal and is ``SIGKILL``-ed mid-flight.  Resuming from the journal
    must complete only the missing cells (cache-hit accounting proves
-   it) and end bit-identical to golden.
+   it) and end bit-identical to golden.  The leg runs twice: cell by
+   cell, and with ``batch=True``, where the kill lands after the first
+   stack and the journal must hold exactly the cells the cache holds.
 4. **Chaos off** — the resilient engine with no chaos policy must be
    bit-identical to the plain engine (hardening is free when unused).
 
@@ -38,6 +40,7 @@ from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
+from repro.batch import plan_batches
 from repro.manycore.config import default_system
 from repro.obs import BufferRecorder
 from repro.parallel import (
@@ -144,18 +147,25 @@ def _phase_storm(args: argparse.Namespace, tmp: Path, golden) -> None:
     )
 
 
-def _phase_kill_resume(args: argparse.Namespace, tmp: Path, golden) -> None:
+def _phase_kill_resume(
+    args: argparse.Namespace, tmp: Path, golden, batch: bool
+) -> None:
     tasks = drill_grid(args.cores, args.epochs, args.cells, args.seed)
-    cache_dir = tmp / "drill-cache"
-    journal = tmp / "campaign.jsonl"
+    leg = "batched kill+resume" if batch else "kill+resume"
+    cache_dir = tmp / ("drill-cache-batch" if batch else "drill-cache")
+    journal = tmp / ("campaign-batch.jsonl" if batch else "campaign.jsonl")
     child_argv = [
         sys.executable, "-m", "tools.chaos_soak", "--drill-child",
         "--cores", str(args.cores), "--epochs", str(args.epochs),
         "--cells", str(args.cells), "--seed", str(args.seed),
         "--cache-dir", str(cache_dir), "--journal", str(journal),
-    ]
+    ] + (["--batch"] if batch else [])
     child = subprocess.Popen(child_argv, cwd=str(Path(__file__).resolve().parents[1]))
-    min_done = max(2, args.cells // 6)
+    # Batched, the child settles a whole stack at once: wait for the
+    # first stack, so the kill lands while the second one simulates.
+    min_done = (
+        len(plan_batches(tasks, len(tasks))[0]) if batch else max(2, args.cells // 6)
+    )
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline:
         if _journal_done_count(journal) >= min_done or child.poll() is not None:
@@ -166,24 +176,31 @@ def _phase_kill_resume(args: argparse.Namespace, tmp: Path, golden) -> None:
     done_at_kill = _journal_done_count(journal)
     if done_at_kill >= args.cells:
         raise SystemExit(
-            "FAIL kill-resume: child finished before the kill landed; "
+            f"FAIL {leg}: child finished before the kill landed; "
             "raise --epochs so cells outlive the polling loop"
         )
     if done_at_kill < min_done:
         raise SystemExit(
-            f"FAIL kill-resume: only {done_at_kill} cells completed before "
+            f"FAIL {leg}: only {done_at_kill} cells completed before "
             f"the kill (wanted >= {min_done}); raise --cells or --epochs"
+        )
+    if batch and done_at_kill != len(ResultCache(cache_dir)):
+        raise SystemExit(
+            f"FAIL {leg}: journal holds {done_at_kill} done cells but the "
+            f"cache holds {len(ResultCache(cache_dir))}: stacked cells must "
+            "be journaled as they settle"
         )
 
     rec = BufferRecorder()
     report = execute_cells_report(
-        tasks, jobs=1, cache=cache_dir, journal=journal, recorder=rec
+        tasks, jobs=1, cache=cache_dir, journal=journal, recorder=rec,
+        batch=batch,
     )
     if not report.ok:
-        raise SystemExit(f"FAIL kill-resume: resume failed: {report.failures[0]}")
+        raise SystemExit(f"FAIL {leg}: resume failed: {report.failures[0]}")
     if report.resumed != done_at_kill:
         raise SystemExit(
-            f"FAIL kill-resume: journal said {done_at_kill} done but the "
+            f"FAIL {leg}: journal said {done_at_kill} done but the "
             f"engine resumed {report.resumed}"
         )
     # Every journal-done cell must come back as a cache hit, not a re-run
@@ -192,16 +209,16 @@ def _phase_kill_resume(args: argparse.Namespace, tmp: Path, golden) -> None:
     run = report.counters.get("engine.cells_run", 0)
     if cached < done_at_kill or cached + run != args.cells:
         raise SystemExit(
-            f"FAIL kill-resume: cache-hit accounting is off "
+            f"FAIL {leg}: cache-hit accounting is off "
             f"(cached={cached} run={run} done_at_kill={done_at_kill})"
         )
     resumes = [e for e in rec.events if e["type"] == "campaign_resume"]
     if len(resumes) != 1 or resumes[0]["completed"] != report.resumed:
-        raise SystemExit(f"FAIL kill-resume: bad campaign_resume events: {resumes}")
+        raise SystemExit(f"FAIL {leg}: bad campaign_resume events: {resumes}")
     for got, want in zip(report.completed(), golden):
-        assert_trace_equal(got, want, context="kill+resume vs golden")
+        assert_trace_equal(got, want, context=f"{leg} vs golden")
     print(
-        f"  kill+resume: SIGKILL after {done_at_kill}/{args.cells} cells; "
+        f"  {leg}: SIGKILL after {done_at_kill}/{args.cells} cells; "
         f"resume served {cached} from cache, recomputed {run}, "
         "bit-identical to golden"
     )
@@ -221,7 +238,8 @@ def _run_child(args: argparse.Namespace) -> int:
     """Drill child: run the campaign until the parent kills us."""
     tasks = drill_grid(args.cores, args.epochs, args.cells, args.seed)
     report = execute_cells_report(
-        tasks, jobs=1, cache=args.cache_dir, journal=args.journal
+        tasks, jobs=1, cache=args.cache_dir, journal=args.journal,
+        batch=args.batch,
     )
     return 0 if report.ok else 1
 
@@ -240,6 +258,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--drill-child", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--cache-dir", default=None, help=argparse.SUPPRESS)
     parser.add_argument("--journal", default=None, help=argparse.SUPPRESS)
+    parser.add_argument("--batch", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     if args.drill_child:
@@ -253,7 +272,8 @@ def main(argv: Optional[list] = None) -> int:
         golden = execute_cells(tasks, jobs=1)
         print(f"  golden: {len(tasks)} cells @ {args.cores} cores x {args.epochs} epochs")
         _phase_storm(args, tmp, golden)
-        _phase_kill_resume(args, tmp, golden)
+        _phase_kill_resume(args, tmp, golden, batch=False)
+        _phase_kill_resume(args, tmp, golden, batch=True)
         _phase_chaos_off(args, golden)
         print(f"OK ({time.perf_counter() - t0_s:.1f} s)")
         return 0
